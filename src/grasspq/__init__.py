@@ -1,7 +1,7 @@
 """Exact rewrite-system algebra for the two-parameter deformed Grassmann
 matrix group and supergroup."""
 
-from .coeff import ONE, P, Q, ZERO, LaurentPoly, Rat, RatFunc, qnum
+from .coeff import ONE, P, Q, ZERO, LaurentPoly, RatFunc, qnum
 from .freealg import (
     Generator,
     Poly,
@@ -55,7 +55,7 @@ from .verify import (
 
 __all__ = [
     "AlgMatrix", "Check", "ClosedPowerEntries", "Generator", "LaurentPoly",
-    "ONE", "P", "Poly", "Presentation", "Q", "RMatrix", "Rat", "RatFunc",
+    "ONE", "P", "Poly", "Presentation", "Q", "RMatrix", "RatFunc",
     "Report", "RewriteRule", "ZERO", "build_presentation", "closed_power",
     "delta_left", "delta_right", "derive_relations", "fault_injection_report",
     "format_poly", "free_algebra_on", "free_mul", "generic_gr2",

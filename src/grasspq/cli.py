@@ -356,9 +356,13 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
                     f"generator may not shadow a parameter (line {lineno})", 0)
             gens.append((name, ODD if parity == "odd" else EVEN))
         elif head == "inverse":
-            gen_name, _, inv_name = rest.partition(" ")
-            inverses[gen_name.strip()] = inv_name.strip()
+            names = rest.split()
+            if len(names) != 2:
+                raise ExprSyntaxError(f"bad inverse line {lineno}", 0)
+            inverses[names[0]] = names[1]
         elif head == "order":
+            if rest not in ("deglex", "invweight"):
+                raise ExprSyntaxError(f"unknown order {rest!r} on line {lineno}", 0)
             order = rest
         elif head == "negweight":
             negweight = rest.split()

@@ -17,9 +17,6 @@ from typing import Mapping
 
 from .errors import SingularEvaluation, SingularSpecialization, ZeroInverse
 
-# Scalar base field: arbitrary-precision rationals.
-Rat = Fraction
-
 ExpPair = tuple[int, int]
 
 
@@ -195,6 +192,11 @@ class LaurentPoly:
         return f"LaurentPoly({self})"
 
 
+# The unit polynomial, shared as the denominator of every RatFunc whose
+# denominator is 1; LaurentPoly values are never mutated.
+_UNIT = LaurentPoly.const(1)
+
+
 def _monomial_str(c: Fraction, a: int, b: int) -> str:
     pieces = []
     if c != 1 or (a == 0 and b == 0):
@@ -243,21 +245,23 @@ class RatFunc:
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
         if den is None:
-            den = LaurentPoly.const(1)
+            den = _UNIT
         if den.is_zero:
             raise ZeroInverse("rational function with zero denominator")
         if num.is_zero:
-            num, den = LaurentPoly.zero(), LaurentPoly.const(1)
+            num, den = LaurentPoly.zero(), _UNIT
         elif den.is_monomial():
             (a, b), c = den.leading()
-            num, den = num.unit_divide(c, a, b), LaurentPoly.const(1)
+            if (a, b, c) != (0, 0, 1):  # dividing by 1 would only copy num
+                num = num.unit_divide(c, a, b)
+            den = _UNIT
         else:
             c, a, b = den.content()
             num = num.unit_divide(c, a, b)
             den = den.unit_divide(c, a, b)
             q = _try_exact_div(num, den)
             if q is not None:
-                num, den = q, LaurentPoly.const(1)
+                num, den = q, _UNIT
         self.num = num
         self.den = den
 
@@ -296,9 +300,6 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.num.is_zero
 
-    def is_scalar_one(self) -> bool:
-        return self == RatFunc.one()
-
     # -- field operations ---------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -324,6 +325,15 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other: RatFunc) -> RatFunc:
+        # values are immutable, so the unit may hand back the other operand
+        if other is ONE:
+            return self
+        if self is ONE:
+            return other
+        if self.den is _UNIT:
+            return RatFunc(self.num * other.num, other.den)
+        if other.den is _UNIT:
+            return RatFunc(self.num * other.num, self.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def inv(self) -> RatFunc:

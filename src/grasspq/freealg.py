@@ -216,6 +216,9 @@ class Presentation:
         self._by_first: dict[str, list[RewriteRule]] = {}
         for r in self.rules:
             self._by_first.setdefault(r.lhs[0], []).append(r)
+        # word -> leftmost normal form; an entry is never mutated once
+        # published, and entries are published only when complete
+        self._nf_cache: dict[Word, dict[Word, RatFunc]] = {}
 
     # -- order -------------------------------------------------------------
 
@@ -280,8 +283,115 @@ class Presentation:
 
 def normal_form(poly: Poly, pres: Presentation, *, strategy: str = "leftmost") -> Poly:
     """Reduce until no rule lhs occurs as a subword.  The result is the
-    canonical representative modulo the two-sided ideal of relations."""
+    canonical representative modulo the two-sided ideal of relations.
+
+    The default leftmost strategy is the linear extension of the
+    presentation's word -> normal form cache.  "rightmost" and "oddfirst"
+    rewrite the whole polynomial without the cache, as an independent
+    oracle for path independence."""
     pres.validate(poly)
+    if strategy != "leftmost":
+        return _worklist_normal_form(poly, pres, strategy)
+    cache = pres._nf_cache
+    fresh: dict[Word, dict[Word, RatFunc]] = {}
+    _reduce_words(poly.terms, pres, fresh)
+    result: dict[Word, RatFunc] = {}
+    for w, c in poly.terms.items():
+        nf = cache.get(w)
+        _add_scaled(result, fresh[w] if nf is None else nf, c)
+    # publish only after the whole call succeeded, so a raise leaves no trace
+    cache.update(fresh)
+    return Poly(result)
+
+
+def _add_scaled(acc: dict[Word, RatFunc], terms: Mapping[Word, RatFunc],
+                c: RatFunc) -> None:
+    """acc += c * terms, dropping words whose coefficients cancel."""
+    for w, v in terms.items():
+        t = c * v
+        s = acc.get(w)
+        s = t if s is None else s + t
+        if s:
+            acc[w] = s
+        elif w in acc:
+            del acc[w]
+
+
+def _reduce_words(words: Iterable[Word], pres: Presentation,
+                  fresh: dict[Word, dict[Word, RatFunc]]) -> None:
+    """Put the leftmost normal form of every word that is not cached yet,
+    and of every word met while reducing it, into `fresh`.
+
+    A miss rewrites its leftmost redex once and combines the normal forms
+    of the resulting words; these are found depth first with an explicit
+    stack, so there is no recursion.  Every miss counts against
+    `max_steps`, and every rewritten word against `max_word_length`.  A
+    word met again on its own reduction path raises, since the
+    `invweight` order is not well-founded."""
+    cache = pres._nf_cache
+    limits = pres.limits
+    misses = 0
+
+    def expand(w: Word):
+        """Successors (word, coefficient) of w's leftmost rewrite, or None
+        if w is irreducible."""
+        nonlocal misses
+        misses += 1
+        if misses > limits.max_steps:
+            raise DegreeCapExceeded(
+                f"reduction in {pres.label!r} exceeded {limits.max_steps} steps")
+        hit = pres.find_reduction(w)
+        if hit is None:
+            return None
+        i, rule = hit
+        prefix, suffix = w[:i], w[i + len(rule.lhs):]
+        succ = []
+        for rw, rc in rule.rhs.terms.items():
+            nw = prefix + rw + suffix
+            if len(nw) > limits.max_word_length:
+                raise DegreeCapExceeded(
+                    f"word of length {len(nw)} in {pres.label!r} exceeds the "
+                    f"cap {limits.max_word_length}")
+            succ.append((nw, rc))
+        return succ
+
+    for root in words:
+        if root in cache or root in fresh:
+            continue
+        stack = [[root, None]]  # frames: word, successors once expanded
+        on_path = {root}
+        while stack:
+            frame = stack[-1]
+            w, succ = frame
+            if succ is None:
+                succ = frame[1] = expand(w)
+                if succ is None:
+                    fresh[w] = {w: ONE}
+                    stack.pop()
+                    on_path.discard(w)
+                    continue
+            child = next((nw for nw, _ in succ
+                          if nw not in cache and nw not in fresh), None)
+            if child is not None:
+                if child in on_path:
+                    raise DegreeCapExceeded(
+                        f"word {_word_str(child)} recurs on its own reduction "
+                        f"path in {pres.label!r}")
+                stack.append([child, None])
+                on_path.add(child)
+                continue
+            nf: dict[Word, RatFunc] = {}
+            for nw, rc in succ:
+                known = cache.get(nw)
+                _add_scaled(nf, fresh[nw] if known is None else known, rc)
+            fresh[w] = nf
+            stack.pop()
+            on_path.discard(w)
+
+
+def _worklist_normal_form(poly: Poly, pres: Presentation, strategy: str) -> Poly:
+    """Rewrite the whole polynomial with the given redex strategy, term by
+    term from a pending worklist; no cache."""
     limits = pres.limits
     result: dict[Word, RatFunc] = {}
     pending = dict(poly.terms)

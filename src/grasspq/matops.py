@@ -119,12 +119,18 @@ def identity_matrix(pres: Presentation, n: int) -> AlgMatrix:
 
 
 def matrix_power(a: AlgMatrix, n: int) -> AlgMatrix:
+    """a^n by repeated squaring; powers of one matrix commute, so the
+    factors may be combined in any order."""
     if n < 1:
         raise ValueError("exponent must be positive")
-    out = a
-    for _ in range(n - 1):
-        out = mat_mul(out, a)
-    return out
+    out = None
+    while True:
+        if n & 1:
+            out = a if out is None else mat_mul(out, a)
+        n >>= 1
+        if not n:
+            return out
+        a = mat_mul(a, a)
 
 
 def generic_gr2(pres: Presentation | None = None) -> AlgMatrix:
@@ -237,14 +243,6 @@ class RMatrix:
                          for row in cells)
 
 
-def _unit_matrix_tensor(k1: int, l1: int, k2: int, l2: int):
-    """Entries of e^k1_l1 (x) e^k2_l2 in the (ij),(kl) labeling; yields
-    ((row, col)) of the single nonzero slot."""
-    row = 2 * k1 + k2
-    col = 2 * l1 + l2
-    return row, col
-
-
 def rhat(x: RatFunc) -> RMatrix:
     """The deformation R-matrix, assembled from its rank-one building
     blocks: (p + q^-1) on the diagonal sectors, 2x(pq^-1)^(i-1) on the
@@ -255,16 +253,15 @@ def rhat(x: RatFunc) -> RMatrix:
     def add(r, c, val):
         entries[r][c] = entries[r][c] + val
 
+    # e^k1_l1 (x) e^k2_l2 occupies row (k1 k2), col (l1 l2)
     two_x = RatFunc.const(2) * x
     for i in range(2):
-        r, c = _unit_matrix_tensor(i, i, i, i)
-        add(r, c, P + Q**-1)
+        add(3 * i, 3 * i, P + Q**-1)
     for i in range(2):
         for j in range(2):
             if i == j:
                 continue
-            r, c = _unit_matrix_tensor(i, i, j, j)
-            add(r, c, two_x * (P * Q**-1) ** i)
+            add(2 * i + j, 2 * i + j, two_x * (P * Q**-1) ** i)
     for i in range(2):
         for j in range(2):
             if i == j:
@@ -332,25 +329,36 @@ def _echelon(rows):
     return basis
 
 
-def _fraction_rank(rows, point):
-    """Rank of the coefficient matrix after evaluating at (p0, q0)."""
+def _evaluate_rows(rows, point):
+    """The rows at (p0, q0), as sparse maps word -> nonzero Fraction."""
     p0, q0 = point
-    cols = sorted({w for row in rows for w in row})
-    mat = [[row.get(w, RatFunc.zero()).evaluate(p0, q0) for w in cols]
-           for row in rows]
-    rank = 0
-    for col in range(len(cols)):
-        pivot_row = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        pv = mat[rank][col]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col] / pv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+    out = []
+    for row in rows:
+        values = ((w, c.evaluate(p0, q0)) for w, c in row.items())
+        out.append({w: v for w, v in values if v})
+    return out
+
+
+def _fraction_rank(rows) -> int:
+    """Rank of sparse Fraction rows, by elimination onto monic pivots."""
+    pivots: dict[Word, dict] = {}  # pivot column -> row monic there, no smaller columns
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = 1 / row[col]
+                pivots[col] = {w: v * inv for w, v in row.items()}
+                break
+            f = row[col]
+            for w, v in pivot.items():
+                s = row.get(w, 0) - f * v
+                if s:
+                    row[w] = s
+                else:
+                    row.pop(w, None)
+    return len(pivots)
 
 
 def _random_admissible_points(rng: random.Random, count: int):
@@ -384,10 +392,12 @@ def span_equal(s1: Sequence[Poly], s2: Sequence[Poly], *, seed: int = 0,
                      paper_ref="every element of the first set lies in the second span"))
     rng = random.Random(seed)
     ok_rank = True
-    for n, point in enumerate(_random_admissible_points(rng, 5)):
-        r1 = _fraction_rank(rows1, point)
-        r2 = _fraction_rank(rows2, point)
-        rb = _fraction_rank(rows1 + rows2, point)
+    for point in _random_admissible_points(rng, 5):
+        at1 = _evaluate_rows(rows1, point)
+        at2 = _evaluate_rows(rows2, point)
+        r1 = _fraction_rank(at1)
+        r2 = _fraction_rank(at2)
+        rb = _fraction_rank(at1 + at2)
         if not (r1 == r2 == rb == len(e1) == len(e2)):
             ok_rank = False
     report.add(Check(name="numeric_rank_crosscheck",

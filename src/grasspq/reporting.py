@@ -26,9 +26,6 @@ class Report:
     def add(self, check: Check) -> None:
         self.checks.append(check)
 
-    def extend(self, other: Report) -> None:
-        self.checks.extend(other.checks)
-
     def finish(self) -> Report:
         self.checks.sort(key=lambda c: c.name)
         self.elapsed_ms = (time.perf_counter() - self._started) * 1000.0

@@ -250,3 +250,25 @@ def test_preset_file_flag(tmp_path):
 def test_preset_file_missing(tmp_path):
     code, _, err = run_cli("reduce", "--preset-file", str(tmp_path / "nope"), "x")
     assert code == 2
+
+
+@pytest.mark.parametrize("line", ["order foo", "order", "order deglex invweight"])
+def test_loader_rejects_unknown_order(line):
+    text = f"generator x even\n{line}\nrelation x*x\n"
+    with pytest.raises(ExprSyntaxError, match="line 2"):
+        load_presentation(text)
+
+
+@pytest.mark.parametrize("line", ["inverse x", "inverse x   ", "inverse", "inverse x xinv y"])
+def test_loader_rejects_inverse_without_single_name(line):
+    text = f"generator x even\ngenerator xinv even\n{line}\n"
+    with pytest.raises(ExprSyntaxError, match="line 3"):
+        load_presentation(text)
+
+
+def test_loader_rejections_exit_with_usage_code(tmp_path):
+    path = tmp_path / "bad.preset"
+    path.write_text("generator x even\norder foo\n")
+    code, _, err = run_cli("reduce", "--preset-file", str(path), "x")
+    assert code == 2
+    assert "line 2" in err

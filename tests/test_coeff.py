@@ -65,6 +65,17 @@ def test_mul_cancels_denominator():
     assert val.den == LaurentPoly.const(1)
 
 
+def test_mul_with_unit_denominator_keeps_stored_form(rng):
+    # a factor with denominator 1 skips the denominator product; the stored
+    # numerator and denominator, which printing reads, must not change
+    for _ in range(200):
+        x, y = random_ratfunc(rng), random_ratfunc(rng)
+        full = RatFunc(x.num * y.num, x.den * y.den)
+        got = x * y
+        assert (got.num.terms, got.den.terms) == (full.num.terms, full.den.terms)
+        assert str(got) == str(full)
+
+
 # -- inversion ---------------------------------------------------------------
 
 def test_inv_monomial():

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -14,6 +16,7 @@ from grasspq.errors import (
 from grasspq.freealg import (
     EVEN,
     ODD,
+    PRESET_NAMES,
     Poly,
     Presentation,
     ReductionLimits,
@@ -21,6 +24,7 @@ from grasspq.freealg import (
     build_gr2,
     build_gr11,
     build_presentation,
+    format_poly,
     free_algebra_on,
     irreducible_words,
     normal_form,
@@ -97,13 +101,100 @@ def test_generator_mismatch_raises():
 
 
 def test_degree_cap_guard():
-    # x -> x*x grows without bound; the cap must trip, not loop
+    # x -> x*x grows without bound; the cap must trip, not loop, and trip
+    # again on repeat, since a failed call leaves nothing in the cache
     grow = Presentation(
         "grow", preset("plane_p20").generators,
         [RewriteRule(("x",), w("x", "x"))],
         limits=ReductionLimits(max_word_length=16))
-    with pytest.raises(DegreeCapExceeded):
-        normal_form(g("x"), grow)
+    for _ in range(2):
+        with pytest.raises(DegreeCapExceeded, match="exceeds the cap 16"):
+            normal_form(g("x"), grow)
+
+
+# -- the word cache -------------------------------------------------------------
+
+def cold_copy(pres, limits=None):
+    """Same rules and order as pres, with an empty word cache."""
+    return Presentation(pres.label, pres.generators, pres.rules, order=pres.order,
+                        negative_weight=pres.negative_weight, inverses=pres.inverses,
+                        limits=limits or pres.limits)
+
+
+def random_words(rng, pres, count, max_len=6):
+    names = [gen.name for gen in pres.generators]
+    return [tuple(rng.choice(names) for _ in range(rng.randint(0, max_len)))
+            for _ in range(count)]
+
+
+def test_two_rule_loop_raises_instead_of_recursing():
+    gens = preset("plane_p20").generators
+    loop = Presentation("loop", gens, [RewriteRule(("x",), g("y")),
+                                       RewriteRule(("y",), g("x"))])
+    for _ in range(2):
+        with pytest.raises(DegreeCapExceeded, match="recurs"):
+            normal_form(g("x") + w("y", "x"), loop)
+
+
+def test_reduction_deeper_than_the_recursion_limit():
+    # y^k x^k needs k^2 successive swaps y*x -> p^-1 x*y, each one word
+    k = 40
+    assert k * k > sys.getrecursionlimit()
+    deep = cold_copy(preset("plane_p20"), ReductionLimits(max_word_length=2 * k))
+    nf = normal_form(Poly({("y",) * k + ("x",) * k: ONE}), deep)
+    assert nf == Poly({("x",) * k + ("y",) * k: P ** -(k * k)})
+
+
+def test_step_cap_counts_misses_on_a_cold_cache_and_on_repeat():
+    # (c*b)^3 takes 38 misses; were the entries a failed call finished
+    # kept, the next call would start from them and get further
+    word = Poly({("c", "b") * 3: ONE})
+    tight = cold_copy(preset("gr11"), ReductionLimits(max_steps=20))
+    for _ in range(3):
+        with pytest.raises(DegreeCapExceeded, match="exceeded 20 steps"):
+            normal_form(word, tight)
+    assert (normal_form(word, cold_copy(preset("gr11")))
+            - normal_form(word, preset("gr11"))).is_zero
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_cached_leftmost_agrees_with_uncached_oracles(name, rng):
+    # rightmost never terminates on some localized words, so that preset
+    # is checked against the odd-collapsing strategy only
+    oracles = ("oddfirst",) if name == "gr11_localized" else ("rightmost", "oddfirst")
+    pres = cold_copy(preset(name))
+    for word in random_words(rng, pres, 60):
+        poly = Poly({word: P - Q})
+        expected = [normal_form(poly, pres, strategy=s) for s in oracles]
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            got = normal_form(poly, pres)
+            assert all((got - e).is_zero for e in expected), word
+
+
+def test_threads_sharing_a_cold_preset_agree(rng):
+    pres = cold_copy(preset("gr11_localized"))
+    words = random_words(rng, pres, 80)
+
+    def reduce_all(order):
+        return [format_poly(normal_form(Poly({words[i]: ONE}), pres), pres)
+                for i in order]
+
+    forward = list(range(len(words)))
+    half = len(words) // 2
+    orders = [forward, forward[::-1], forward[half:] + forward[:half],
+              forward[1::2] + forward[::2]]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(reduce_all, orders, timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    by_word = [dict(zip(order, out)) for order, out in zip(orders, results)]
+    assert all(d == by_word[0] for d in by_word)
+    alone = cold_copy(preset("gr11_localized"))
+    assert by_word[0] == {i: format_poly(normal_form(Poly({words[i]: ONE}), alone), alone)
+                          for i in range(len(words))}
 
 
 # -- orientation -----------------------------------------------------------------

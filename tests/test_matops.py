@@ -1,6 +1,8 @@
 """Matrices over the presented algebras: products, tensors, the R-matrix,
 RTT residuals, dual determinants, inverses, the superdeterminant."""
 
+from fractions import Fraction
+
 import pytest
 
 from grasspq.coeff import ONE, P, Q, RatFunc
@@ -34,6 +36,7 @@ from grasspq.matops import (
     tensor_graded,
     tensor_ungraded,
 )
+from grasspq.matops import _fraction_rank
 
 w = Poly.word
 g = Poly.gen
@@ -222,6 +225,44 @@ def test_span_equal_scaling_invariance(gr2):
     rels = gr2.relation_polys()
     scaled = [r.scale(P * Q**-1) for r in rels]
     assert span_equal(rels, scaled, label="scaled").passed
+
+
+def dense_rank(rows):
+    """Reference rank: Gauss elimination on the dense Fraction matrix."""
+    cols = sorted({c for row in rows for c in row})
+    mat = [[row.get(c, Fraction(0)) for c in cols] for row in rows]
+    rank = 0
+    for col in range(len(cols)):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def test_sparse_rank_matches_dense_elimination(rng):
+    cols = [("alpha", x) for x in ("b", "c", "delta")] + [("b", "c"), ("c", "b")]
+    for _ in range(300):
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            if rows and rng.random() < 0.4:  # a combination of earlier rows
+                row = {}
+                for old in rng.sample(rows, rng.randint(1, len(rows))):
+                    f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for c, v in old.items():
+                        row[c] = row.get(c, 0) + f * v
+                row = {c: v for c, v in row.items() if v}
+            else:
+                row = {c: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                       for c in rng.sample(cols, rng.randint(1, 3))}
+                row = {c: v for c, v in row.items() if v}
+            rows.append(row)
+        assert _fraction_rank(rows) == dense_rank(rows)
 
 
 def test_span_equal_rejects_inhomogeneous():

@@ -62,6 +62,17 @@ def test_closed_power_matches_iterated_product(gr11, exponent):
     assert (cp.D - it[1, 1]).is_zero
 
 
+def test_squaring_power_matches_iterated_product_and_closed_form(gr11):
+    m = generic_gr11(gr11)
+    acc = m
+    for exponent in range(1, 9):
+        if exponent > 1:
+            acc = mat_mul(acc, m)
+        squared = matrix_power(m, exponent)
+        assert squared == acc
+        assert squared == closed_power(exponent).as_matrix(gr11)
+
+
 @pytest.mark.parametrize("exponent", range(1, 7))
 def test_power_relations_hold(exponent):
     report = power_relations_check(exponent)
