@@ -11,7 +11,6 @@ from .freealg import (
     derive_relations,
     format_poly,
     free_algebra_on,
-    free_mul,
     irreducible_words,
     normal_form,
     orient,
@@ -58,7 +57,7 @@ __all__ = [
     "ONE", "P", "Poly", "Presentation", "Q", "RMatrix", "RatFunc",
     "Report", "RewriteRule", "ZERO", "build_presentation", "closed_power",
     "delta_left", "delta_right", "derive_relations", "fault_injection_report",
-    "format_poly", "free_algebra_on", "free_mul", "generic_gr2",
+    "format_poly", "free_algebra_on", "generic_gr2",
     "generic_gr11", "generic_gr11_localized", "identity_matrix",
     "inverse11", "irreducible_words", "left_inverse", "mat_mul",
     "matrix_power", "normal_form", "orient", "overlap_check",

@@ -26,6 +26,7 @@ from pathlib import Path
 from .coeff import RatFunc
 from .errors import (
     AlgebraError,
+    DegreeCapExceeded,
     ExprSyntaxError,
     NegativePowerOfNonInvertible,
     UnknownGenerator,
@@ -241,6 +242,15 @@ def _scalar_of(poly: Poly) -> RatFunc | None:
     return None
 
 
+def _hold_length(length: int, pres: Presentation) -> None:
+    """Input words obey the presentation's length cap, checked before a
+    product or power is built, so an oversized power fails at once."""
+    cap = pres.limits.max_word_length
+    if length > cap:
+        raise DegreeCapExceeded(
+            f"input word of length {length} in {pres.label!r} exceeds the cap {cap}")
+
+
 def _eval(node: Expr, pres: Presentation) -> Poly:
     if isinstance(node, Num):
         return Poly.unit(RatFunc.const(node.value))
@@ -258,6 +268,7 @@ def _eval(node: Expr, pres: Presentation) -> Poly:
         if node.op == "-":
             return left - right
         if node.op == "*":
+            _hold_length(left.max_word_length() + right.max_word_length(), pres)
             return left * right
         divisor = _scalar_of(right)
         if divisor is None:
@@ -268,6 +279,7 @@ def _eval(node: Expr, pres: Presentation) -> Poly:
         base = _eval(node.base, pres)
         n = node.exponent
         if n >= 0:
+            _hold_length(base.max_word_length() * n, pres)
             out = Poly.unit()
             for _ in range(n):
                 out = out * base
@@ -278,6 +290,7 @@ def _eval(node: Expr, pres: Presentation) -> Poly:
         if isinstance(node.base, Gen):
             inv_name = pres.inverses.get(node.base.name)
             if inv_name is not None:
+                _hold_length(-n, pres)
                 out = Poly.unit()
                 for _ in range(-n):
                     out = out * Poly.gen(inv_name)

@@ -162,10 +162,6 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
-def free_mul(a: Poly, b: Poly) -> Poly:
-    return a * b
-
-
 @dataclass(frozen=True)
 class RewriteRule:
     """Oriented relation lhs -> rhs; every rhs word is strictly below lhs
@@ -317,6 +313,22 @@ def _add_scaled(acc: dict[Word, RatFunc], terms: Mapping[Word, RatFunc],
             del acc[w]
 
 
+def _rewrite_at(w: Word, pos: int, rule: RewriteRule,
+                pres: Presentation) -> list[tuple[Word, RatFunc]]:
+    """One rewrite step: the words and coefficients that replace the redex
+    of `rule` at position `pos` of w, each held to the length cap."""
+    prefix, suffix = w[:pos], w[pos + len(rule.lhs):]
+    cap = pres.limits.max_word_length
+    out = []
+    for rw, rc in rule.rhs.terms.items():
+        nw = prefix + rw + suffix
+        if len(nw) > cap:
+            raise DegreeCapExceeded(
+                f"word of length {len(nw)} in {pres.label!r} exceeds the cap {cap}")
+        out.append((nw, rc))
+    return out
+
+
 def _reduce_words(words: Iterable[Word], pres: Presentation,
                   fresh: dict[Word, dict[Word, RatFunc]]) -> None:
     """Put the leftmost normal form of every word that is not cached yet,
@@ -341,19 +353,7 @@ def _reduce_words(words: Iterable[Word], pres: Presentation,
             raise DegreeCapExceeded(
                 f"reduction in {pres.label!r} exceeded {limits.max_steps} steps")
         hit = pres.find_reduction(w)
-        if hit is None:
-            return None
-        i, rule = hit
-        prefix, suffix = w[:i], w[i + len(rule.lhs):]
-        succ = []
-        for rw, rc in rule.rhs.terms.items():
-            nw = prefix + rw + suffix
-            if len(nw) > limits.max_word_length:
-                raise DegreeCapExceeded(
-                    f"word of length {len(nw)} in {pres.label!r} exceeds the "
-                    f"cap {limits.max_word_length}")
-            succ.append((nw, rc))
-        return succ
+        return None if hit is None else _rewrite_at(w, *hit, pres)
 
     for root in words:
         if root in cache or root in fresh:
@@ -402,32 +402,13 @@ def _worklist_normal_form(poly: Poly, pres: Presentation, strategy: str) -> Poly
             continue
         hit = pres.find_reduction(w, strategy)
         if hit is None:
-            s = result.get(w)
-            s = c if s is None else s + c
-            if s:
-                result[w] = s
-            elif w in result:
-                del result[w]
+            _add_scaled(result, {w: ONE}, c)
             continue
         steps += 1
         if steps > limits.max_steps:
             raise DegreeCapExceeded(
                 f"reduction in {pres.label!r} exceeded {limits.max_steps} steps")
-        i, rule = hit
-        prefix, suffix = w[:i], w[i + len(rule.lhs):]
-        for rw, rc in rule.rhs.terms.items():
-            nw = prefix + rw + suffix
-            if len(nw) > limits.max_word_length:
-                raise DegreeCapExceeded(
-                    f"word of length {len(nw)} in {pres.label!r} exceeds the "
-                    f"cap {limits.max_word_length}")
-            nc = c * rc
-            s = pending.get(nw)
-            s = nc if s is None else s + nc
-            if s:
-                pending[nw] = s
-            elif nw in pending:
-                del pending[nw]
+        _add_scaled(pending, dict(_rewrite_at(w, *hit, pres)), c)
     return Poly(result)
 
 
@@ -469,24 +450,27 @@ def _ambiguities(rules: Sequence[RewriteRule]):
                     yield l1, (0, r1), (i, r2)
 
 
-def _apply_at(word: Word, pos: int, rule: RewriteRule) -> Poly:
-    prefix, suffix = word[:pos], word[pos + len(rule.lhs):]
-    return Poly({prefix + rw + suffix: rc for rw, rc in rule.rhs.terms.items()})
-
-
-def overlap_check(pres: Presentation) -> Report:
-    """Diamond-lemma local confluence: both reductions of every ambiguity
-    must share a normal form."""
-    report = Report(suite=f"confluence:{pres.label}")
+def _resolved_ambiguities(pres: Presentation):
+    """Each distinct ambiguity of the rules, resolved; yields (word, pos2,
+    difference), the difference being the normal form of the first
+    one-step rewrite of the word minus that of the second (zero iff the
+    ambiguity resolves)."""
     seen = set()
     for word, (i1, r1), (i2, r2) in _ambiguities(pres.rules):
         key = (word, i1, r1.lhs, i2, r2.lhs)
         if key in seen:
             continue
         seen.add(key)
-        a = normal_form(_apply_at(word, i1, r1), pres)
-        b = normal_form(_apply_at(word, i2, r2), pres)
-        diff = a - b
+        first = Poly(dict(_rewrite_at(word, i1, r1, pres)))
+        second = Poly(dict(_rewrite_at(word, i2, r2, pres)))
+        yield word, i2, normal_form(first - second, pres)
+
+
+def overlap_check(pres: Presentation) -> Report:
+    """Diamond-lemma local confluence: both reductions of every ambiguity
+    must share a normal form."""
+    report = Report(suite=f"confluence:{pres.label}")
+    for word, i2, diff in _resolved_ambiguities(pres):
         report.add(Check(
             name=f"overlap:{'*'.join(word)}@{i2}",
             status="pass" if diff.is_zero else "fail",
@@ -584,14 +568,9 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
             # install the one with the smallest leading word, so short rules
             # form before their longer consequences can cascade
             candidates: list[Poly] = []
-            for word, (i1, r1), (i2, r2) in _ambiguities(pres.rules):
-                a = normal_form(_apply_at(word, i1, r1), pres)
-                b = normal_form(_apply_at(word, i2, r2), pres)
-                diff = a - b
-                if diff.is_zero:
-                    continue
-                if not any((diff - seen).is_zero or (diff + seen).is_zero
-                           for seen in candidates):
+            for _, _, diff in _resolved_ambiguities(pres):
+                if diff and not any((diff - seen).is_zero or (diff + seen).is_zero
+                                    for seen in candidates):
                     candidates.append(diff)
             if not candidates:
                 break
@@ -617,42 +596,99 @@ PRESET_NAMES = ("gr2", "gr11", "gr11_localized", "gr11_inverse",
                 "plane_p20", "plane_q02", "plane_p11", "plane_q11_dual")
 
 
-def _gr2_relations(pp: RatFunc, qq: RatFunc) -> list[Poly]:
-    w = Poly.word
-    return [
-        w("alpha", "beta") + w("beta", "alpha", coeff=pp ** -1),
-        w("alpha", "gamma") + w("gamma", "alpha", coeff=qq ** -1),
-        w("gamma", "delta") + w("delta", "gamma", coeff=pp ** -1),
-        w("beta", "delta") + w("delta", "beta", coeff=qq ** -1),
-        w("alpha", "delta") + w("delta", "alpha"),
-        w("alpha", "alpha"),
-        w("beta", "beta"),
-        w("gamma", "gamma"),
-        w("delta", "delta"),
-        w("beta", "gamma") + w("gamma", "beta", coeff=pp * qq ** -1)
-        - w("delta", "alpha", coeff=pp - qq ** -1),
-    ]
+# The 2x2 matrix layouts [[A, B], [C, D]]: entry names and parities in the
+# order A, B, C, D.  Greek letters are odd, Latin letters even.
+ENTRY_LAYOUTS = {
+    "all_odd": (("alpha", ODD), ("beta", ODD), ("gamma", ODD), ("delta", ODD)),
+    "diag_odd": (("alpha", ODD), ("b", EVEN), ("c", EVEN), ("delta", ODD)),
+    "diag_even": (("a", EVEN), ("beta", ODD), ("gamma", ODD), ("d", EVEN)),
+    "all_even": (("a", EVEN), ("b", EVEN), ("c", EVEN), ("d", EVEN)),
+}
 
 
-def _gr11_relations(pp: RatFunc, qq: RatFunc) -> list[Poly]:
-    w = Poly.word
-    return [
-        w("alpha", "b") - w("b", "alpha", coeff=pp ** -1),
-        w("alpha", "c") - w("c", "alpha", coeff=qq ** -1),
-        w("delta", "b") - w("b", "delta", coeff=pp ** -1),
-        w("delta", "c") - w("c", "delta", coeff=qq ** -1),
-        w("alpha", "delta") + w("delta", "alpha"),
-        w("alpha", "alpha"),
-        w("delta", "delta"),
-        w("b", "c") - w("c", "b", coeff=pp * qq ** -1)
-        - w("delta", "alpha", coeff=pp - qq ** -1),
-    ]
+def family(kind: str, entries: Sequence[Poly], pp: RatFunc,
+           qq: RatFunc) -> list[tuple[str, Poly]]:
+    """The quadratic relations (label, polynomial = 0) of a relation family
+    for the matrix [[A, B], [C, D]] = entries at parameters (pp, qq).  The
+    labels are written in the family's own A..D, p and q.
+
+    "all_odd": the Grassmann matrix family (gr2).
+    "diag_odd": the dual supermatrix family (gr11); the inverse lies in it
+    at (p^-1, q^-1) and the odd powers at (p^e, q^e).
+    "diag_even": the even-diagonal family, which the even powers obey."""
+    A, B, C, D = entries
+    if kind == "all_odd":
+        return [
+            ("A*B = -p^-1 B*A", A * B + (B * A).scale(pp ** -1)),
+            ("A*C = -q^-1 C*A", A * C + (C * A).scale(qq ** -1)),
+            ("C*D = -p^-1 D*C", C * D + (D * C).scale(pp ** -1)),
+            ("B*D = -q^-1 D*B", B * D + (D * B).scale(qq ** -1)),
+            ("A*D + D*A = 0", A * D + D * A),
+            ("A^2 = 0", A * A),
+            ("B^2 = 0", B * B),
+            ("C^2 = 0", C * C),
+            ("D^2 = 0", D * D),
+            ("B*C = -p q^-1 C*B + (p - q^-1) D*A",
+             B * C + (C * B).scale(pp * qq ** -1) - (D * A).scale(pp - qq ** -1)),
+        ]
+    if kind == "diag_odd":
+        return [
+            ("A*B = p^-1 B*A", A * B - (B * A).scale(pp ** -1)),
+            ("A*C = q^-1 C*A", A * C - (C * A).scale(qq ** -1)),
+            ("D*B = p^-1 B*D", D * B - (B * D).scale(pp ** -1)),
+            ("D*C = q^-1 C*D", D * C - (C * D).scale(qq ** -1)),
+            ("A*D + D*A = 0", A * D + D * A),
+            ("A^2 = 0", A * A),
+            ("D^2 = 0", D * D),
+            ("B*C = p q^-1 C*B + (p - q^-1) D*A",
+             B * C - (C * B).scale(pp * qq ** -1) - (D * A).scale(pp - qq ** -1)),
+        ]
+    if kind == "diag_even":
+        return [
+            ("A*B = q B*A", A * B - (B * A).scale(qq)),
+            ("A*C = p C*A", A * C - (C * A).scale(pp)),
+            ("D*B = q B*D", D * B - (B * D).scale(qq)),
+            ("D*C = p C*D", D * C - (C * D).scale(pp)),
+            ("B*C + p q^-1 C*B = 0", B * C + (C * B).scale(pp * qq ** -1)),
+            ("B^2 = 0", B * B),
+            ("C^2 = 0", C * C),
+            ("A*D - D*A = (p - q^-1) C*B",
+             A * D - D * A - (C * B).scale(pp - qq ** -1)),
+        ]
+    raise ValueError(f"unknown relation family {kind!r}; "
+                     f"choose from all_odd, diag_odd, diag_even")
 
 
-def _localized_relations(pp: RatFunc, qq: RatFunc) -> list[Poly]:
+def _generic_family(kind: str, pp: RatFunc, qq: RatFunc) -> list[Poly]:
+    """The family's relations on the generic matrix of its layout."""
+    entries = [Poly.gen(name) for name, _ in ENTRY_LAYOUTS[kind]]
+    return [rel for _, rel in family(kind, entries, pp, qq)]
+
+
+# In every matrix preset the diagonal entries come first in the generator
+# order: A < D < B < C.
+
+def build_gr2(pp: RatFunc, qq: RatFunc, label: str = "gr2") -> Presentation:
+    a, b, c, d = ENTRY_LAYOUTS["all_odd"]
+    return build_presentation(label, [a, d, b, c], _generic_family("all_odd", pp, qq))
+
+
+def build_gr11(pp: RatFunc, qq: RatFunc, label: str = "gr11") -> Presentation:
+    a, b, c, d = ENTRY_LAYOUTS["diag_odd"]
+    return build_presentation(label, [a, d, b, c], _generic_family("diag_odd", pp, qq))
+
+
+def build_gr11_localized(pp: RatFunc, qq: RatFunc,
+                         label: str = "gr11_localized") -> Presentation:
+    a, b, c, d = ENTRY_LAYOUTS["diag_odd"]
+    # each inverse sits right next to its partner in the order, so that
+    # b*binv / c*cinv pairs become adjacent in normal words and cancel
+    # locally; separating them (binv < cinv < b < c) provably needs an
+    # infinite rule family in the alpha*delta corner
+    gens = [a, d, ("binv", EVEN), b, ("cinv", EVEN), c]
     w = Poly.word
     unit = Poly.unit()
-    rels = _gr11_relations(pp, qq) + [
+    rels = _generic_family("diag_odd", pp, qq) + [
         w("b", "binv") - unit,
         w("binv", "b") - unit,
         w("c", "cinv") - unit,
@@ -667,39 +703,13 @@ def _localized_relations(pp: RatFunc, qq: RatFunc) -> list[Poly]:
         w("binv", "delta") - w("delta", "binv", coeff=pp ** -1),
         w("cinv", "delta") - w("delta", "cinv", coeff=qq ** -1),
     ]
-    return rels
-
-
-def build_gr2(pp: RatFunc, qq: RatFunc, label: str = "gr2") -> Presentation:
-    gens = [("alpha", ODD), ("delta", ODD), ("beta", ODD), ("gamma", ODD)]
-    return build_presentation(label, gens, _gr2_relations(pp, qq))
-
-
-def build_gr11(pp: RatFunc, qq: RatFunc, label: str = "gr11") -> Presentation:
-    gens = [("alpha", ODD), ("delta", ODD), ("b", EVEN), ("c", EVEN)]
-    return build_presentation(label, gens, _gr11_relations(pp, qq))
-
-
-def build_gr11_localized(pp: RatFunc, qq: RatFunc,
-                         label: str = "gr11_localized") -> Presentation:
-    # each inverse sits right next to its partner in the order, so that
-    # b*binv / c*cinv pairs become adjacent in normal words and cancel
-    # locally; separating them (binv < cinv < b < c) provably needs an
-    # infinite rule family in the alpha*delta corner
-    gens = [("alpha", ODD), ("delta", ODD), ("binv", EVEN), ("b", EVEN),
-            ("cinv", EVEN), ("c", EVEN)]
     # inverse-cluster words balloon transiently before the nilpotent odd
     # pairs kill them, so this preset gets extra headroom over the default
-    return build_presentation(label, gens, _localized_relations(pp, qq),
+    return build_presentation(label, gens, rels,
                               order="invweight",
                               negative_weight=("binv", "cinv"),
                               inverses={"b": "binv", "c": "cinv"},
                               limits=ReductionLimits(max_word_length=256))
-
-
-def _free_gens(names_parities) -> Presentation:
-    generators = tuple(Generator(n, p, i) for i, (n, p) in enumerate(names_parities))
-    return Presentation("free", generators, ())
 
 
 @lru_cache(maxsize=None)
@@ -760,13 +770,6 @@ def irreducible_words(pres: Presentation, max_length: int) -> list[Word]:
 # ---------------------------------------------------------------------------
 # endomorphism-derived relations
 # ---------------------------------------------------------------------------
-
-ENTRY_LAYOUTS = {
-    "all_odd": (("alpha", ODD), ("beta", ODD), ("gamma", ODD), ("delta", ODD)),
-    "diag_odd": (("alpha", ODD), ("b", EVEN), ("c", EVEN), ("delta", ODD)),
-    "all_even": (("a", EVEN), ("b", EVEN), ("c", EVEN), ("d", EVEN)),
-}
-
 
 def derive_relations(source_plane: Presentation, target_plane: Presentation,
                      entry_parity: str = "all_odd",

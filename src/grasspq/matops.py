@@ -20,6 +20,7 @@ from .freealg import (
     Poly,
     Presentation,
     Word,
+    family,
     format_poly,
     normal_form,
     preset,
@@ -575,43 +576,19 @@ def power_relations_check(exponent: int) -> Report:
         raise ValueError("exponent must be positive")
     pres = preset("gr11")
     cp = closed_power(exponent)
-    A, B, C, D = cp.A, cp.B, cp.C, cp.D
-    pe, qe = cp.parameters
-    nf = lambda x: normal_form(x, pres)
-    report = Report(suite=f"power_relations:{exponent}")
     if exponent % 2:
-        relations = [
-            ("A*B = p^-e B*A", A * B - (B * A).scale(pe**-1)),
-            ("A*C = q^-e C*A", A * C - (C * A).scale(qe**-1)),
-            ("D*B = p^-e B*D", D * B - (B * D).scale(pe**-1)),
-            ("D*C = q^-e C*D", D * C - (C * D).scale(qe**-1)),
-            ("A*D + D*A = 0", A * D + D * A),
-            ("A^2 = 0", A * A),
-            ("D^2 = 0", D * D),
-            ("B*C = p^e q^-e C*B + (p^e - q^-e) D*A",
-             B * C - (C * B).scale(pe * qe**-1) - (D * A).scale(pe - qe**-1)),
-        ]
-        family = "odd power lies in the deformed dual supermatrix family"
+        kind, ref = "diag_odd", "odd power lies in the deformed dual supermatrix family"
     else:
-        relations = [
-            ("A*B = q^e B*A", A * B - (B * A).scale(qe)),
-            ("A*C = p^e C*A", A * C - (C * A).scale(pe)),
-            ("D*B = q^e B*D", D * B - (B * D).scale(qe)),
-            ("D*C = p^e C*D", D * C - (C * D).scale(pe)),
-            ("B*C + p^e q^-e C*B = 0", B * C + (C * B).scale(pe * qe**-1)),
-            ("B^2 = 0", B * B),
-            ("C^2 = 0", C * C),
-            ("A*D - D*A = (p^e - q^-e) C*B",
-             A * D - D * A - (C * B).scale(pe - qe**-1)),
-        ]
-        family = "even power is an even-diagonal supermatrix at the squared parameters"
-    for name, expr in relations:
-        residual = nf(expr)
+        kind, ref = ("diag_even", "even power is an even-diagonal supermatrix "
+                     "at the squared parameters")
+    report = Report(suite=f"power_relations:{exponent}")
+    for label, expr in family(kind, (cp.A, cp.B, cp.C, cp.D), *cp.parameters):
+        residual = normal_form(expr, pres)
         report.add(Check(
-            name=f"e{exponent}:{name}",
+            name=f"e{exponent}:{label}",
             status="pass" if residual.is_zero else "fail",
             residual=None if residual.is_zero else format_poly(residual, pres),
-            paper_ref=family,
+            paper_ref=ref,
         ))
     report.finish()
     return report

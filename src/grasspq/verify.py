@@ -13,6 +13,7 @@ from .freealg import (
     Presentation,
     RewriteRule,
     derive_relations,
+    family,
     format_poly,
     free_algebra_on,
     irreducible_words,
@@ -72,6 +73,18 @@ def _flatten(report: Report, sub: Report, prefix: str) -> None:
                      residual=witness, paper_ref=sub.suite))
 
 
+def _degeneration_check(pres: Presentation, build) -> Check:
+    """Specializing q := p in pres gives the rules `build` makes at (p, p)."""
+    spec = specialize_presentation(pres, {"q": P})
+    direct = build(P, P)
+    same = len(spec.rules) == len(direct.rules) and all(
+        r1.lhs == r2.lhs and (r1.rhs - r2.rhs).is_zero
+        for r1, r2 in zip(spec.rules, direct.rules))
+    return Check(name="degeneration_q_eq_p",
+                 status="pass" if same else "fail",
+                 paper_ref="q := p collapses to the one-parameter deformation")
+
+
 def suite_gr2(seed: int = DEFAULT_SEED, *, presentation: Presentation | None = None) -> Report:
     """Confluence, dimension count, inverse identities, RTT soundness and
     completeness, endomorphism derivation, parameter degeneration."""
@@ -119,15 +132,7 @@ def suite_gr2(seed: int = DEFAULT_SEED, *, presentation: Presentation | None = N
     _flatten(report, span_equal(d1 + d2, pres.relation_polys(), seed=seed,
                                 label="gr2-derive"), "derivation_equivalence")
 
-    spec = specialize_presentation(pres, {"q": P})
-    direct = build_gr2(P, P, label="gr2")
-    same = len(spec.rules) == len(direct.rules) and all(
-        r1.lhs == r2.lhs and (r1.rhs - r2.rhs).is_zero
-        for r1, r2 in zip(spec.rules, direct.rules))
-    report.add(Check(name="degeneration_q_eq_p",
-                     status="pass" if same else "fail",
-                     paper_ref="q := p collapses to the one-parameter deformation"))
-
+    report.add(_degeneration_check(pres, build_gr2))
     return report.finish()
 
 
@@ -187,20 +192,7 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
     report.add(_matrix_residual_check(
         "inverse_left_sided", mat_mul(minv, ml) - i2, "M^-1 * M = I"))
 
-    ap, bp, cp, dp = minv[0, 0], minv[0, 1], minv[1, 0], minv[1, 1]
-    pi, qi = P**-1, Q**-1
-    inv_rels = [
-        ("a'b' = p b'a'", ap * bp - (bp * ap).scale(pi**-1)),
-        ("a'c' = q c'a'", ap * cp - (cp * ap).scale(qi**-1)),
-        ("d'b' = p b'd'", dp * bp - (bp * dp).scale(pi**-1)),
-        ("d'c' = q c'd'", dp * cp - (cp * dp).scale(qi**-1)),
-        ("a'd' + d'a' = 0", ap * dp + dp * ap),
-        ("a'^2 = 0", ap * ap),
-        ("d'^2 = 0", dp * dp),
-        ("b'c' = qp^-1 c'b' + (q - p^-1) d'a'",
-         bp * cp - (cp * bp).scale(pi * qi**-1) - (dp * ap).scale(pi - qi**-1)),
-    ]
-    bad = [name for name, expr in inv_rels
+    bad = [label for label, expr in family("diag_odd", minv.entries, P**-1, Q**-1)
            if not normal_form(expr, loc).is_zero]
     report.add(Check(
         name="inverse_entry_relations",
@@ -233,15 +225,7 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
                      status="pass" if all(central) else "fail",
                      paper_ref="the superdeterminant becomes central at p = q"))
 
-    spec = specialize_presentation(pres, {"q": P})
-    direct = build_gr11(P, P, label="gr11")
-    same = len(spec.rules) == len(direct.rules) and all(
-        r1.lhs == r2.lhs and (r1.rhs - r2.rhs).is_zero
-        for r1, r2 in zip(spec.rules, direct.rules))
-    report.add(Check(name="degeneration_q_eq_p",
-                     status="pass" if same else "fail",
-                     paper_ref="q := p collapses to the one-parameter deformation"))
-
+    report.add(_degeneration_check(pres, build_gr11))
     return report.finish()
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import contextlib
+import time
 
 import pytest
 from hypothesis import given
@@ -218,13 +219,40 @@ def test_verify_all_runs_every_suite():
     assert "gr2:" in out and "gr11:" in out and "powers:" in out
 
 
+# -- input size ----------------------------------------------------------------------
+
+def test_input_words_are_held_to_the_length_cap():
+    assert run_cli("reduce", "--preset", "gr11", "b^64") == (0, "b^64\n", "")
+    code, out, err = run_cli("reduce", "--preset", "gr11", "b^65")
+    assert code == 1 and not out
+    assert "input word of length 65 in 'gr11' exceeds the cap 64" in err
+    code, _, err = run_cli("reduce", "--preset", "gr11", "c*b^64")
+    assert code == 1 and "length 65" in err
+    code, _, err = run_cli("check", "--preset", "gr11_localized", "b^-257")
+    assert code == 1 and "length 257" in err
+
+
+def test_input_length_cap_follows_the_preset():
+    # gr11_localized allows words of length 256
+    assert run_cli("reduce", "--preset", "gr11_localized", "b^200") == (0, "b^200\n", "")
+
+
+def test_huge_power_fails_before_building_the_word():
+    start = time.perf_counter()
+    code, _, err = run_cli("reduce", "--preset", "gr11", "b^1000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and "length 1000000" in err
+
+
 # -- presentation files ---------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["gr2", "gr11", "gr11_localized", "gr11_inverse",
                                   "plane_p20", "plane_q02", "plane_p11",
                                   "plane_q11_dual"])
 def test_builtin_preset_files_match_builders(name):
+    # the shipped files are dump_presentation output, pinned byte for byte
     pres = preset(name)
+    assert builtin_preset_text(name) == dump_presentation(pres)
     loaded = load_presentation(builtin_preset_text(name), label=name)
     assert len(loaded.rules) == len(pres.rules)
     by_lhs = {r.lhs: r for r in loaded.rules}

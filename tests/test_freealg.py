@@ -14,6 +14,7 @@ from grasspq.errors import (
     ZeroRelation,
 )
 from grasspq.freealg import (
+    ENTRY_LAYOUTS,
     EVEN,
     ODD,
     PRESET_NAMES,
@@ -24,6 +25,7 @@ from grasspq.freealg import (
     build_gr2,
     build_gr11,
     build_presentation,
+    family,
     format_poly,
     free_algebra_on,
     irreducible_words,
@@ -372,6 +374,22 @@ def test_inverse_family_is_base_family_at_inverted_parameters():
     for r1, r2 in zip(inv.rules, direct.rules):
         assert r1.lhs == r2.lhs
         assert (r1.rhs - r2.rhs).is_zero
+
+
+def test_family_rejects_an_unknown_kind():
+    entries = [g(name) for name in ("alpha", "b", "c", "delta")]
+    for kind in ("nosuch", "all_even"):
+        with pytest.raises(ValueError, match="unknown relation family"):
+            family(kind, entries, P, Q)
+
+
+def test_family_relations_hold_in_their_presets():
+    for kind, name in (("all_odd", "gr2"), ("diag_odd", "gr11"),
+                       ("diag_odd", "gr11_localized")):
+        pres = preset(name)
+        entries = [g(n) for n, _ in ENTRY_LAYOUTS[kind]]
+        for label, rel in family(kind, entries, P, Q):
+            assert normal_form(rel, pres).is_zero, (name, label)
 
 
 # -- specialization ----------------------------------------------------------------------

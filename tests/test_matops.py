@@ -9,6 +9,7 @@ from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.errors import GeneratorMismatch, NotHomogeneous, NotLocalized, ShapeMismatch
 from grasspq.freealg import (
     Poly,
+    family,
     format_poly,
     free_algebra_on,
     normal_form,
@@ -351,6 +352,14 @@ def test_inverse_entries_satisfy_inverted_parameter_relations(loc):
     ]
     for residual in residuals:
         assert normal_form(residual, loc).is_zero
+
+
+def test_inverse_entries_break_the_family_at_uninverted_parameters(loc):
+    # the family check of suite_gr11 can fail: at (p, q) instead of
+    # (p^-1, q^-1) some relation leaves a nonzero normal form
+    inv = inverse11(generic_gr11_localized(loc))
+    residuals = [normal_form(rel, loc) for _, rel in family("diag_odd", inv.entries, P, Q)]
+    assert any(not r.is_zero for r in residuals)
 
 
 # -- superdeterminant -------------------------------------------------------------------------

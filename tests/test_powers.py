@@ -4,7 +4,7 @@ families their entries satisfy."""
 import pytest
 
 from grasspq.coeff import ONE, P, Q, RatFunc, qnum
-from grasspq.freealg import Poly, normal_form, preset
+from grasspq.freealg import ENTRY_LAYOUTS, Poly, family, normal_form, preset
 from grasspq.matops import (
     closed_power,
     generic_gr11,
@@ -84,6 +84,34 @@ def test_power_relations_at_exponent_one_are_the_base_relations(gr11):
     report = power_relations_check(1)
     assert report.passed
     assert len(report.checks) == 8
+
+
+def _power_family(exponent):
+    return "diag_odd" if exponent % 2 else "diag_even"
+
+
+@pytest.mark.parametrize("exponent", range(1, 5))
+def test_power_family_fails_at_the_wrong_parameters(gr11, exponent):
+    # the family check can fail: at (p^(e+1), q^(e+1)) some relation of
+    # the e-th power leaves a nonzero normal form
+    cp = closed_power(exponent)
+    rels = family(_power_family(exponent), (cp.A, cp.B, cp.C, cp.D),
+                  P**(exponent + 1), Q**(exponent + 1))
+    assert any(not normal_form(rel, gr11).is_zero for _, rel in rels)
+
+
+@pytest.mark.parametrize("exponent", range(1, 5))
+def test_power_entries_have_the_parities_of_their_family_layout(gr11, exponent):
+    cp = closed_power(exponent)
+    layout = ENTRY_LAYOUTS[_power_family(exponent)]
+    for entry, (_, parity) in zip((cp.A, cp.B, cp.C, cp.D), layout):
+        assert gr11.poly_parity(entry) == parity
+
+
+def test_power_check_names_carry_the_family_labels():
+    names = [c.name for c in power_relations_check(3).checks]
+    assert "e3:A*B = p^-1 B*A" in names
+    assert "e3:B*C = p q^-1 C*B + (p - q^-1) D*A" in names
 
 
 def test_even_power_entries_square_to_zero(gr11):
