@@ -37,6 +37,7 @@ from .freealg import (
     Generator,
     Poly,
     Presentation,
+    ReductionLimits,
     build_presentation,
     format_poly,
     normal_form,
@@ -328,6 +329,7 @@ def parse_coeff(text: str) -> RatFunc:
 #   inverse <generator> <inverse-generator>     (optional)
 #   order <deglex|invweight>                    (optional)
 #   negweight <name> [<name> ...]               (optional)
+#   maxword <n>                                 (optional: word-length cap, default 64)
 #   relation <expression>                       (meaning: expression = 0)
 # '#' starts a comment.
 
@@ -342,6 +344,8 @@ def dump_presentation(pres: Presentation) -> str:
         lines.append("negweight " + " ".join(sorted(pres.negative_weight)))
     for gen_name, inv_name in sorted(pres.inverses.items()):
         lines.append(f"inverse {gen_name} {inv_name}")
+    if pres.limits.max_word_length != ReductionLimits().max_word_length:
+        lines.append(f"maxword {pres.limits.max_word_length}")
     for rule in pres.rules:
         lines.append("relation " + format_poly(rule.as_relation(), pres))
     return "\n".join(lines) + "\n"
@@ -352,6 +356,7 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
     inverses: dict[str, str] = {}
     order = "deglex"
     negweight: list[str] = []
+    limits = ReductionLimits()
     relation_texts: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -379,16 +384,21 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
             order = rest
         elif head == "negweight":
             negweight = rest.split()
+        elif head == "maxword":
+            if not rest.isdecimal() or int(rest) < 1:
+                raise ExprSyntaxError(f"bad maxword line {lineno}: need a positive integer", 0)
+            limits = ReductionLimits(max_word_length=int(rest))
         elif head == "relation":
             relation_texts.append(rest)
         else:
             raise ExprSyntaxError(f"unknown directive {head!r} on line {lineno}", 0)
     skeleton = Presentation(label, tuple(
         Generator(n, p, i) for i, (n, p) in enumerate(gens)), (),
-        inverses=inverses)
+        inverses=inverses, limits=limits)
     relations = [_eval(parse(t, skeleton), skeleton) for t in relation_texts]
     return build_presentation(label, gens, relations, order=order,
-                              negative_weight=negweight, inverses=inverses)
+                              negative_weight=negweight, inverses=inverses,
+                              limits=limits)
 
 
 def load_presentation_file(path: str | Path) -> Presentation:

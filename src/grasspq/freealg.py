@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .coeff import ONE, RatFunc
+from .coeff import ONE, P, Q, RatFunc
 from .errors import (
     CompletionOverflow,
     DegreeCapExceeded,
@@ -26,7 +26,7 @@ from .errors import (
     SingularSpecialization,
     ZeroRelation,
 )
-from .reporting import Check, Report
+from .reporting import Check, Report, truncate_poly_text
 
 Word = tuple[str, ...]
 
@@ -273,6 +273,16 @@ class Presentation:
     def relation_polys(self) -> list[Poly]:
         return [r.as_relation() for r in self.rules]
 
+    def with_rules(self, rules: Sequence[RewriteRule], *, label: str | None = None,
+                   completion_added: int = 0) -> Presentation:
+        """The same generators, order, weights, inverses and limits with
+        another rule set (and a cold normal-form cache)."""
+        return Presentation(self.label if label is None else label,
+                            self.generators, rules, order=self.order,
+                            negative_weight=self.negative_weight,
+                            inverses=self.inverses, limits=self.limits,
+                            completion_added=completion_added)
+
     def __repr__(self) -> str:
         return f"Presentation({self.label!r}, {len(self.generators)} gens, {len(self.rules)} rules)"
 
@@ -466,17 +476,22 @@ def _resolved_ambiguities(pres: Presentation):
         yield word, i2, normal_form(first - second, pres)
 
 
+def residual_check(name: str, residual: Poly, pres: Presentation, ref: str) -> Check:
+    """Pass iff the residual is zero; a failure carries the residual,
+    printed in pres and clipped to 32 terms."""
+    ok = residual.is_zero
+    text = None if ok else truncate_poly_text(format_poly(residual, pres))
+    return Check(name=name, status="pass" if ok else "fail",
+                 residual=text, paper_ref=ref)
+
+
 def overlap_check(pres: Presentation) -> Report:
     """Diamond-lemma local confluence: both reductions of every ambiguity
     must share a normal form."""
     report = Report(suite=f"confluence:{pres.label}")
     for word, i2, diff in _resolved_ambiguities(pres):
-        report.add(Check(
-            name=f"overlap:{'*'.join(word)}@{i2}",
-            status="pass" if diff.is_zero else "fail",
-            residual=None if diff.is_zero else format_poly(diff, pres),
-            paper_ref="both reductions of a shared subword must agree",
-        ))
+        report.add(residual_check(f"overlap:{'*'.join(word)}@{i2}", diff, pres,
+                                  "both reductions of a shared subword must agree"))
     if not pres.rules:
         report.add(Check(name="overlap:none", status="pass",
                          paper_ref="empty rule set is vacuously confluent"))
@@ -484,65 +499,34 @@ def overlap_check(pres: Presentation) -> Report:
     return report
 
 
-class _System:
-    """Mutable rule set used while building a presentation."""
-
-    def __init__(self, skeleton: Presentation):
-        self.skeleton = skeleton  # carries generators/order, no rules
-        self.rules: list[RewriteRule] = []
-
-    def snapshot(self, completion_added: int = 0) -> Presentation:
-        sk = self.skeleton
-        return Presentation(sk.label, sk.generators, tuple(self.rules),
-                            order=sk.order, negative_weight=sk.negative_weight,
-                            inverses=sk.inverses, limits=sk.limits,
-                            completion_added=completion_added)
-
-    def reduce(self, poly: Poly) -> Poly:
-        return normal_form(poly, self.snapshot())
-
-    def add_relation(self, rel: Poly) -> bool:
-        nf = self.reduce(rel)
-        if nf.is_zero:
-            return False
-        self.rules.append(orient(nf, self.skeleton))
-        return True
-
-    def interreduce(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(self.rules)):
-                rule = self.rules[i]
-                others = self.rules[:i] + self.rules[i + 1:]
-                sys_others = _System(self.skeleton)
-                sys_others.rules = others
-                rel = sys_others.reduce(rule.as_relation())
-                if rel.is_zero:
-                    self.rules = others
-                    changed = True
-                    break
-                new_rule = orient(rel, self.skeleton)
-                if new_rule.lhs != rule.lhs or not (new_rule.rhs - rule.rhs).is_zero:
-                    self.rules[i] = new_rule
-                    changed = True
-                    break
-            if not changed:
-                changed = self._normalize_rhs()
-
-    def _normalize_rhs(self) -> bool:
-        """Reduce every rule's rhs with the full system, the rule itself
-        included.  A self-embedded rhs (its own lhs as a subword, possible
-        under the weighted orders) would otherwise let one reduction
-        strategy expand forever."""
+def _interreduce(rules: list[RewriteRule], skeleton: Presentation) -> None:
+    """Inter-reduce `rules` in place: reduce each rule against the others
+    until none changes, then reduce every rhs with the full system, the rule
+    itself included, and start again if that changed one.  A self-embedded
+    rhs (its own lhs as a subword, possible under the weighted orders)
+    would otherwise let one reduction strategy expand forever."""
+    changed = True
+    while changed:
         changed = False
-        full = self.snapshot()
-        for i, rule in enumerate(self.rules):
-            nf = normal_form(rule.rhs, full)
-            if not (nf - rule.rhs).is_zero:
-                self.rules[i] = RewriteRule(rule.lhs, nf)
+        for i, rule in enumerate(rules):
+            others = rules[:i] + rules[i + 1:]
+            rel = normal_form(rule.as_relation(), skeleton.with_rules(others))
+            if rel.is_zero:
+                del rules[i]
                 changed = True
-        return changed
+                break
+            new_rule = orient(rel, skeleton)
+            if new_rule.lhs != rule.lhs or not (new_rule.rhs - rule.rhs).is_zero:
+                rules[i] = new_rule
+                changed = True
+                break
+        if not changed:
+            full = skeleton.with_rules(rules)
+            for i, rule in enumerate(rules):
+                nf = normal_form(rule.rhs, full)
+                if not (nf - rule.rhs).is_zero:
+                    rules[i] = RewriteRule(rule.lhs, nf)
+                    changed = True
 
 
 def build_presentation(label: str, gens: Sequence[tuple[str, int]],
@@ -556,14 +540,20 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
     skeleton = Presentation(label, generators, (), order=order,
                             negative_weight=frozenset(negative_weight),
                             inverses=inverses, limits=limits)
-    sys = _System(skeleton)
+    rules: list[RewriteRule] = []
+
+    def add_relation(rel: Poly) -> None:
+        nf = normal_form(rel, skeleton.with_rules(rules))
+        if not nf.is_zero:
+            rules.append(orient(nf, skeleton))
+
     for rel in relations:
-        sys.add_relation(rel)
-    sys.interreduce()
+        add_relation(rel)
+    _interreduce(rules, skeleton)
     added = 0
     if complete:
         while True:
-            pres = sys.snapshot()
+            pres = skeleton.with_rules(rules)
             # fair strategy: gather every unresolved ambiguity this round and
             # install the one with the smallest leading word, so short rules
             # form before their longer consequences can cascade
@@ -574,7 +564,7 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
                     candidates.append(diff)
             if not candidates:
                 break
-            if len(sys.rules) >= max_rules:
+            if len(rules) >= max_rules:
                 raise CompletionOverflow(
                     f"completion of {label!r} exceeded {max_rules} rules")
             def _priority(d: Poly):
@@ -582,19 +572,15 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
                 return (len(lead), pres.word_key(lead))
 
             best = min(candidates, key=_priority)
-            sys.add_relation(best)
-            sys.interreduce()
+            add_relation(best)
+            _interreduce(rules, skeleton)
             added += 1
-    return sys.snapshot(completion_added=added)
+    return skeleton.with_rules(rules, completion_added=added)
 
 
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
-
-PRESET_NAMES = ("gr2", "gr11", "gr11_localized", "gr11_inverse",
-                "plane_p20", "plane_q02", "plane_p11", "plane_q11_dual")
-
 
 # The 2x2 matrix layouts [[A, B], [C, D]]: entry names and parities in the
 # order A, B, C, D.  Greek letters are odd, Latin letters even.
@@ -712,35 +698,33 @@ def build_gr11_localized(pp: RatFunc, qq: RatFunc,
                               limits=ReductionLimits(max_word_length=256))
 
 
+_PRESETS = {
+    "gr2": lambda: build_gr2(P, Q),
+    "gr11": lambda: build_gr11(P, Q),
+    "gr11_localized": lambda: build_gr11_localized(P, Q),
+    "gr11_inverse": lambda: build_gr11(P ** -1, Q ** -1, label="gr11_inverse"),
+    "plane_p20": lambda: build_presentation(
+        "plane_p20", [("x", EVEN), ("y", EVEN)],
+        [Poly.word("x", "y") - Poly.word("y", "x", coeff=P)]),
+    "plane_q02": lambda: build_presentation(
+        "plane_q02", [("xi", ODD), ("eta", ODD)],
+        [Poly.word("xi", "xi"), Poly.word("eta", "eta"),
+         Poly.word("eta", "xi") + Poly.word("xi", "eta", coeff=Q)]),
+    "plane_p11": lambda: build_presentation(
+        "plane_p11", [("x", EVEN), ("xi", ODD)],
+        [Poly.word("x", "xi") - Poly.word("xi", "x", coeff=P), Poly.word("xi", "xi")]),
+    "plane_q11_dual": lambda: build_presentation(
+        "plane_q11_dual", [("eta", ODD), ("y", EVEN)],
+        [Poly.word("eta", "eta"), Poly.word("eta", "y") - Poly.word("y", "eta", coeff=Q ** -1)]),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 @lru_cache(maxsize=None)
 def preset(name: str) -> Presentation:
-    from .coeff import P, Q
-
-    if name == "gr2":
-        return build_gr2(P, Q)
-    if name == "gr11":
-        return build_gr11(P, Q)
-    if name == "gr11_localized":
-        return build_gr11_localized(P, Q)
-    if name == "gr11_inverse":
-        return build_gr11(P ** -1, Q ** -1, label="gr11_inverse")
-    w = Poly.word
-    if name == "plane_p20":
-        return build_presentation("plane_p20", [("x", EVEN), ("y", EVEN)],
-                                  [w("x", "y") - w("y", "x", coeff=P)])
-    if name == "plane_q02":
-        return build_presentation("plane_q02", [("xi", ODD), ("eta", ODD)],
-                                  [w("xi", "xi"), w("eta", "eta"),
-                                   w("eta", "xi") + w("xi", "eta", coeff=Q)])
-    if name == "plane_p11":
-        return build_presentation("plane_p11", [("x", EVEN), ("xi", ODD)],
-                                  [w("x", "xi") - w("xi", "x", coeff=P),
-                                   w("xi", "xi")])
-    if name == "plane_q11_dual":
-        return build_presentation("plane_q11_dual", [("eta", ODD), ("y", EVEN)],
-                                  [w("eta", "eta"),
-                                   w("eta", "y") - w("y", "eta", coeff=Q ** -1)])
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return _PRESETS[name]()
 
 
 def free_algebra_on(pres: Presentation) -> Presentation:
@@ -788,14 +772,14 @@ def derive_relations(source_plane: Presentation, target_plane: Presentation,
         raise ValueError("planes must be two-dimensional")
     entries = ENTRY_LAYOUTS[entry_parity]
     entry_names = [n for n, _ in entries]
+    entry_set = set(entry_names)
     coord_names = [g.name for g in source_plane.generators]
-    if set(entry_names) & set(coord_names):
+    if entry_set & set(coord_names):
         raise GeneratorMismatch("matrix entries must be fresh generators")
 
     gens = list(entries) + [(g.name, g.parity) for g in source_plane.generators]
     w = Poly.word
-    rels = [Poly({w_: c for w_, c in r.as_relation().terms.items()})
-            for r in source_plane.rules]
+    rels = source_plane.relation_polys()
     for coord in source_plane.generators:
         for ename, eparity in entries:
             if convention == "koszul" and coord.parity and eparity:
@@ -814,6 +798,7 @@ def derive_relations(source_plane: Presentation, target_plane: Presentation,
         for i in range(2)
     ]
 
+    target_names = [g.name for g in target_plane.generators]
     derived: list[Poly] = []
     for rule in target_plane.rules:
         relation = rule.as_relation()
@@ -821,14 +806,13 @@ def derive_relations(source_plane: Presentation, target_plane: Presentation,
         for word, coeff in relation.terms.items():
             factor = Poly.unit(coeff)
             for letter in word:
-                slot = [g.name for g in target_plane.generators].index(letter)
-                factor = factor * transformed[slot]
+                factor = factor * transformed[target_names.index(letter)]
             image = image + factor
         nf = normal_form(image, combined)
         by_coord: dict[Word, dict[Word, RatFunc]] = {}
         for word, coeff in nf.terms.items():
-            head = tuple(g for g in word if g in set(entry_names))
-            tail = tuple(g for g in word if g not in set(entry_names))
+            head = tuple(g for g in word if g in entry_set)
+            tail = tuple(g for g in word if g not in entry_set)
             if head + tail != word:
                 raise InconsistentConvention(
                     "normal form did not separate entries from coordinates")
@@ -875,9 +859,7 @@ def specialize_presentation(pres: Presentation,
             raise SingularSpecialization(
                 f"specialization kills the leading term of {rule.lhs}")
         rules.append(orient(rel, pres))
-    return Presentation(pres.label + "|specialized", pres.generators, rules,
-                        order=pres.order, negative_weight=pres.negative_weight,
-                        inverses=pres.inverses, limits=pres.limits)
+    return pres.with_rules(rules, label=pres.label + "|specialized")
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ noncentral superdeterminant, and closed-form matrix powers."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,6 +18,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .freealg import (
+    ENTRY_LAYOUTS,
     Poly,
     Presentation,
     Word,
@@ -24,6 +26,7 @@ from .freealg import (
     format_poly,
     normal_form,
     preset,
+    residual_check,
 )
 from .reporting import Check, Report
 
@@ -90,13 +93,6 @@ class AlgMatrix:
             for i in range(self.rows))
         return f"AlgMatrix[{body}]"
 
-    def pretty(self) -> str:
-        cells = [[format_poly(self[i, j], self.presentation)
-                  for j in range(self.cols)] for i in range(self.rows)]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join("[ " + "  ".join(c.ljust(width) for c in row) + " ]"
-                         for row in cells)
-
 
 def mat_mul(a: AlgMatrix, b: AlgMatrix) -> AlgMatrix:
     """Entrywise noncommutative product, factors kept left-to-right."""
@@ -134,16 +130,22 @@ def matrix_power(a: AlgMatrix, n: int) -> AlgMatrix:
         a = mat_mul(a, a)
 
 
+def generic_matrix(kind: str, pres: Presentation) -> AlgMatrix:
+    """The 2x2 matrix [[A, B], [C, D]] of the generators that
+    ENTRY_LAYOUTS[kind] names."""
+    return AlgMatrix(2, 2, [Poly.gen(name) for name, _ in ENTRY_LAYOUTS[kind]], pres)
+
+
 def generic_gr2(pres: Presentation | None = None) -> AlgMatrix:
-    pres = pres or preset("gr2")
-    g = Poly.gen
-    return AlgMatrix(2, 2, [g("alpha"), g("beta"), g("gamma"), g("delta")], pres)
+    return generic_matrix("all_odd", pres or preset("gr2"))
 
 
 def generic_gr11(pres: Presentation | None = None) -> AlgMatrix:
-    pres = pres or preset("gr11")
-    g = Poly.gen
-    return AlgMatrix(2, 2, [g("alpha"), g("b"), g("c"), g("delta")], pres)
+    return generic_matrix("diag_odd", pres or preset("gr11"))
+
+
+def generic_gr11_localized(pres: Presentation | None = None) -> AlgMatrix:
+    return generic_matrix("diag_odd", pres or preset("gr11_localized"))
 
 
 # ---------------------------------------------------------------------------
@@ -179,31 +181,20 @@ _IDX_PARITY = (0, 1)
 
 
 def tensor_graded(a: AlgMatrix, slot: int) -> AlgMatrix:
-    """Graded tensor embedding of a dual supermatrix.
+    """Graded tensor embedding of a dual supermatrix: the ungraded one with
+    sign factors.
 
     Slot 1 carries no surviving signs.  Slot 2 multiplies the (ij),(kl)
     entry by -(-1)^(par(i)*(par(j)+par(l))); the overall minus is fixed by
     the explicit 4x4 form of the graded embedding (it cancels in the RTT
     relation, where the slot-2 factor appears once on each side).
     """
-    _check_2x2(a)
-    if slot not in (1, 2):
-        raise ValueError("slot must be 1 or 2")
+    ungraded = tensor_ungraded(a, slot)
     if slot == 1:
-        return tensor_ungraded(a, 1)
-    entries = []
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    if i != k:
-                        entries.append(Poly.zero())
-                        continue
-                    exp = 1 + _IDX_PARITY[i] * (_IDX_PARITY[j] + _IDX_PARITY[l])
-                    e = a[j, l]
-                    if exp % 2:
-                        e = e.scale(-ONE)
-                    entries.append(e)
+        return ungraded
+    indices = itertools.product(range(2), repeat=4)  # i, j, k, l in entry order
+    entries = [e if _IDX_PARITY[i] * (_IDX_PARITY[j] + _IDX_PARITY[l]) % 2 else -e
+               for (i, j, _, l), e in zip(indices, ungraded.entries)]
     return AlgMatrix(4, 4, entries, a.presentation, reduce=False)
 
 
@@ -448,13 +439,6 @@ def _require_localized(pres: Presentation):
     return pres.inverses["b"], pres.inverses["c"]
 
 
-def generic_gr11_localized(pres: Presentation | None = None) -> AlgMatrix:
-    pres = pres or preset("gr11_localized")
-    _require_localized(pres)
-    g = Poly.gen
-    return AlgMatrix(2, 2, [g("alpha"), g("b"), g("c"), g("delta")], pres)
-
-
 def inverse11(a: AlgMatrix) -> AlgMatrix:
     """Two-sided inverse of the generic dual supermatrix, built from the
     localized entries:
@@ -541,9 +525,7 @@ def closed_power(exponent: int) -> ClosedPowerEntries:
     if exponent % 2:
         n = (exponent + 1) // 2
         if n == 1:
-            g = Poly.gen
-            return ClosedPowerEntries(g("alpha"), g("b"), g("c"), g("delta"),
-                                      1, params)
+            return ClosedPowerEntries(*generic_matrix("diag_odd", pres).entries, 1, params)
         a_head = Poly.gen("alpha", qnum(n, t)) + Poly.gen("delta", P * qnum(n - 1, t))
         b_head = w("b", "c") + w("alpha", "delta", coeff=P * qnum(n - 1, t2))
         c_head = w("c", "b") + w("delta", "alpha", coeff=Q * qnum(n - 1, t2))
@@ -583,12 +565,6 @@ def power_relations_check(exponent: int) -> Report:
                      "at the squared parameters")
     report = Report(suite=f"power_relations:{exponent}")
     for label, expr in family(kind, (cp.A, cp.B, cp.C, cp.D), *cp.parameters):
-        residual = normal_form(expr, pres)
-        report.add(Check(
-            name=f"e{exponent}:{label}",
-            status="pass" if residual.is_zero else "fail",
-            residual=None if residual.is_zero else format_poly(residual, pres),
-            paper_ref=ref,
-        ))
+        report.add(residual_check(f"e{exponent}:{label}", normal_form(expr, pres), pres, ref))
     report.finish()
     return report

@@ -20,6 +20,7 @@ from .freealg import (
     normal_form,
     overlap_check,
     preset,
+    residual_check,
     specialize,
     specialize_presentation,
     build_gr2,
@@ -33,6 +34,7 @@ from .matops import (
     generic_gr2,
     generic_gr11,
     generic_gr11_localized,
+    generic_matrix,
     identity_matrix,
     inverse11,
     left_inverse,
@@ -47,13 +49,6 @@ from .matops import (
 from .reporting import Check, Report, truncate_poly_text
 
 DEFAULT_SEED = 20240915
-
-
-def _residual_check(name: str, residual: Poly, pres: Presentation, ref: str) -> Check:
-    ok = residual.is_zero
-    text = None if ok else truncate_poly_text(format_poly(residual, pres))
-    return Check(name=name, status="pass" if ok else "fail",
-                 residual=text, paper_ref=ref)
 
 
 def _matrix_residual_check(name: str, residual: AlgMatrix, ref: str) -> Check:
@@ -83,6 +78,25 @@ def _degeneration_check(pres: Presentation, build) -> Check:
     return Check(name="degeneration_q_eq_p",
                  status="pass" if same else "fail",
                  paper_ref="q := p collapses to the one-parameter deformation")
+
+
+def _family_checks(report: Report, pres: Presentation, kind: str, x: RatFunc,
+                   planes: tuple[str, str], build) -> None:
+    """The checks both matrix families share: the RTT residual entries of
+    the generic matrix over the free algebra span the relations, so do the
+    relations derived from the plane endomorphisms both ways, and q := p
+    gives the one-parameter family.  The all-odd matrix is embedded
+    ungraded, the dual supermatrix graded."""
+    free = free_algebra_on(pres)
+    residual = rtt_residual(x, generic_matrix(kind, free), graded=kind != "all_odd")
+    entries = [e for e in residual.entries if not e.is_zero]
+    _flatten(report, span_equal(entries, pres.relation_polys(), seed=report.seed,
+                                label=f"{report.suite}-rtt"), "rtt_completeness")
+    one, other = (preset(name) for name in planes)
+    derived = derive_relations(one, other, kind) + derive_relations(other, one, kind)
+    _flatten(report, span_equal(derived, pres.relation_polys(), seed=report.seed,
+                                label=f"{report.suite}-derive"), "derivation_equivalence")
+    report.add(_degeneration_check(pres, build))
 
 
 def suite_gr2(seed: int = DEFAULT_SEED, *, presentation: Presentation | None = None) -> Report:
@@ -121,18 +135,7 @@ def suite_gr2(seed: int = DEFAULT_SEED, *, presentation: Presentation | None = N
         "rtt_soundness", rtt_residual(ONE, a, graded=False),
         "R(1) A1 A2 + A2 A1 R(1) = 0 over the quotient"))
 
-    free = free_algebra_on(pres)
-    residual = rtt_residual(ONE, generic_gr2(free), graded=False)
-    entries = [e for e in residual.entries if not e.is_zero]
-    _flatten(report, span_equal(entries, pres.relation_polys(), seed=seed,
-                                label="gr2-rtt"), "rtt_completeness")
-
-    d1 = derive_relations(preset("plane_p20"), preset("plane_q02"), "all_odd")
-    d2 = derive_relations(preset("plane_q02"), preset("plane_p20"), "all_odd")
-    _flatten(report, span_equal(d1 + d2, pres.relation_polys(), seed=seed,
-                                label="gr2-derive"), "derivation_equivalence")
-
-    report.add(_degeneration_check(pres, build_gr2))
+    _family_checks(report, pres, "all_odd", ONE, ("plane_p20", "plane_q02"), build_gr2)
     return report.finish()
 
 
@@ -173,16 +176,8 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
         "rtt_soundness_graded", rtt_residual(-ONE, m, graded=True),
         "R(-1) M1 M2 + M2 M1 R(-1) = 0 with graded embeddings"))
 
-    free = free_algebra_on(pres)
-    residual = rtt_residual(-ONE, generic_gr11(free), graded=True)
-    entries = [e for e in residual.entries if not e.is_zero]
-    _flatten(report, span_equal(entries, pres.relation_polys(), seed=seed,
-                                label="gr11-rtt"), "rtt_completeness")
-
-    d1 = derive_relations(preset("plane_p11"), preset("plane_q11_dual"), "diag_odd")
-    d2 = derive_relations(preset("plane_q11_dual"), preset("plane_p11"), "diag_odd")
-    _flatten(report, span_equal(d1 + d2, pres.relation_polys(), seed=seed,
-                                label="gr11-derive"), "derivation_equivalence")
+    _family_checks(report, pres, "diag_odd", -ONE, ("plane_p11", "plane_q11_dual"),
+                   build_gr11)
 
     ml = generic_gr11_localized(loc)
     minv = inverse11(ml)
@@ -202,20 +197,20 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
 
     dl = sdet(ml, "left")
     drr = sdet(ml, "right")
-    report.add(_residual_check("sdet_forms_agree", dl - drr, loc,
-                               "both superdeterminant forms coincide"))
+    report.add(residual_check("sdet_forms_agree", dl - drr, loc,
+                              "both superdeterminant forms coincide"))
     w = Poly.word
     red39 = normal_form(
         w("b", "cinv") - w("cinv", "b", coeff=Q * P**-1)
         + w("cinv", "delta", "alpha", "cinv", coeff=Q - P**-1), loc)
-    report.add(_residual_check("localization_reduction", red39, loc,
-                               "b c^-1 = qp^-1 c^-1 b - (q - p^-1) c^-1 d a c^-1"))
+    report.add(residual_check("localization_reduction", red39, loc,
+                              "b c^-1 = qp^-1 c^-1 b - (q - p^-1) c^-1 d a c^-1"))
     twist = P * Q**-1
     for gen_name in ("alpha", "delta", "b", "c"):
         gen = Poly.gen(gen_name)
         resid = normal_form(dl * gen - (gen * dl).scale(twist), loc)
-        report.add(_residual_check(f"sdet_twist_{gen_name}", resid, loc,
-                                   "sdet g = pq^-1 g sdet"))
+        report.add(residual_check(f"sdet_twist_{gen_name}", resid, loc,
+                                  "sdet g = pq^-1 g sdet"))
     central = []
     for gen_name in ("alpha", "delta", "b", "c"):
         gen = Poly.gen(gen_name)
@@ -225,7 +220,6 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
                      status="pass" if all(central) else "fail",
                      paper_ref="the superdeterminant becomes central at p = q"))
 
-    report.add(_degeneration_check(pres, build_gr11))
     return report.finish()
 
 
@@ -287,6 +281,7 @@ SUITES: dict[str, Callable[..., Report]] = {
     "gr11": lambda max_n, seed: suite_gr11(seed),
     "powers": lambda max_n, seed: suite_powers(max_n, seed),
     "all": lambda max_n, seed: suite_all(max_n, seed),
+    "faults": lambda max_n, seed: fault_injection_report(seed),
 }
 
 
@@ -337,9 +332,7 @@ def mutate_preset(mutation: Mutation) -> Presentation:
             rules.append(rule)
     if not found:
         raise KeyError(f"{mutation.name}: no rule with lhs {mutation.rule_lhs}")
-    return Presentation(pres.label, pres.generators, rules, order=pres.order,
-                        negative_weight=pres.negative_weight,
-                        inverses=pres.inverses, limits=pres.limits)
+    return pres.with_rules(rules)
 
 
 def mutation_witness(mutation: Mutation) -> str | None:

@@ -219,6 +219,13 @@ def test_verify_all_runs_every_suite():
     assert "gr2:" in out and "gr11:" in out and "powers:" in out
 
 
+def test_verify_faults_runs_the_mutation_catalogue():
+    code, out, _ = run_cli("verify", "--suite", "faults", "--json")
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert len(names) == 10 and all(n.startswith("caught:") for n in names)
+
+
 # -- input size ----------------------------------------------------------------------
 
 def test_input_words_are_held_to_the_length_cap():
@@ -232,9 +239,12 @@ def test_input_words_are_held_to_the_length_cap():
     assert code == 1 and "length 257" in err
 
 
-def test_input_length_cap_follows_the_preset():
-    # gr11_localized allows words of length 256
+def test_input_length_cap_follows_the_preset(tmp_path):
+    # gr11_localized allows words of length 256, also when loaded from its file
     assert run_cli("reduce", "--preset", "gr11_localized", "b^200") == (0, "b^200\n", "")
+    path = tmp_path / "gr11_localized.preset"
+    path.write_text(builtin_preset_text("gr11_localized"))
+    assert run_cli("reduce", "--preset-file", str(path), "b^100") == (0, "b^100\n", "")
 
 
 def test_huge_power_fails_before_building_the_word():
@@ -254,6 +264,7 @@ def test_builtin_preset_files_match_builders(name):
     pres = preset(name)
     assert builtin_preset_text(name) == dump_presentation(pres)
     loaded = load_presentation(builtin_preset_text(name), label=name)
+    assert loaded.limits == pres.limits
     assert len(loaded.rules) == len(pres.rules)
     by_lhs = {r.lhs: r for r in loaded.rules}
     for rule in pres.rules:
@@ -291,6 +302,14 @@ def test_loader_rejects_unknown_order(line):
 def test_loader_rejects_inverse_without_single_name(line):
     text = f"generator x even\ngenerator xinv even\n{line}\n"
     with pytest.raises(ExprSyntaxError, match="line 3"):
+        load_presentation(text)
+
+
+@pytest.mark.parametrize("line", ["maxword 0", "maxword x", "maxword", "maxword -3",
+                                  "maxword 2.5", "maxword 8 9"])
+def test_loader_rejects_maxword_that_is_not_a_positive_integer(line):
+    text = f"generator x even\n{line}\nrelation x*x\n"
+    with pytest.raises(ExprSyntaxError, match="line 2"):
         load_presentation(text)
 
 

@@ -33,9 +33,11 @@ from grasspq.freealg import (
     orient,
     overlap_check,
     preset,
+    residual_check,
     specialize,
     specialize_presentation,
 )
+from grasspq.reporting import Check
 
 w = Poly.word
 g = Poly.gen
@@ -240,6 +242,16 @@ def test_presets_locally_confluent(name):
     assert overlap_check(preset(name)).passed
 
 
+def test_residual_check_passes_on_zero_and_clips_long_residuals():
+    pres = preset("gr11")
+    assert residual_check("zero", Poly.zero(), pres, "ref") == Check("zero", "pass", None, "ref")
+    long = Poly({("b",) * n: ONE for n in range(1, 41)})
+    check = residual_check("long", long, pres, "ref")
+    assert check.status == "fail"
+    assert check.residual.startswith("b^40 + b^39 + ")
+    assert check.residual.endswith(" + b^9 + ... [8 more terms]")
+
+
 def test_single_idempotent_rule_overlap_resolves():
     pres = build_presentation("idem", [("x", EVEN)], [w("x", "x") - g("x")])
     assert overlap_check(pres).passed
@@ -417,6 +429,19 @@ def test_degeneration_matches_directly_built_one_parameter_family(name, builder)
     for r1, r2 in zip(spec.rules, direct.rules):
         assert r1.lhs == r2.lhs
         assert (r1.rhs - r2.rhs).is_zero
+
+
+def test_copies_keep_order_weights_inverses_and_limits():
+    loc = preset("gr11_localized")
+    copy = loc.with_rules(loc.rules[:3], label="copy")
+    spec = specialize_presentation(loc, {"q": P})
+    assert spec.limits.max_word_length == 256
+    assert (copy.label, copy.rules) == ("copy", loc.rules[:3])
+    assert spec.label == "gr11_localized|specialized"
+    for pres in (copy, spec):
+        assert (pres.generators, pres.order, pres.negative_weight, pres.inverses,
+                pres.limits) == (loc.generators, loc.order, loc.negative_weight,
+                                 loc.inverses, loc.limits)
 
 
 def test_specialize_singular_substitution_raises():

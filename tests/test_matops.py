@@ -8,6 +8,7 @@ import pytest
 from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.errors import GeneratorMismatch, NotHomogeneous, NotLocalized, ShapeMismatch
 from grasspq.freealg import (
+    ENTRY_LAYOUTS,
     Poly,
     family,
     format_poly,
@@ -24,6 +25,7 @@ from grasspq.matops import (
     generic_gr2,
     generic_gr11,
     generic_gr11_localized,
+    generic_matrix,
     identity_matrix,
     inverse11,
     left_inverse,
@@ -406,3 +408,6 @@ def test_constructed_matrices_are_parity_homogeneous(gr2, gr11, loc):
     inv = inverse11(generic_gr11_localized(loc))
     for e, par in zip(inv.entries, pattern):
         assert loc.poly_parity(e) == par
+    for kind, pres in (("all_odd", gr2), ("diag_odd", gr11), ("diag_odd", loc)):
+        layout = [par for _, par in ENTRY_LAYOUTS[kind]]
+        assert [pres.poly_parity(e) for e in generic_matrix(kind, pres).entries] == layout

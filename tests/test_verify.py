@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from grasspq.coeff import P
+from grasspq.freealg import preset
 from grasspq.verify import (
     DEFAULT_SEED,
     MUTATIONS,
+    Mutation,
     fault_injection_report,
     mutate_preset,
     suite_all,
@@ -104,6 +107,16 @@ def test_every_mutation_is_caught():
     report = fault_injection_report()
     assert report.passed, report.to_text()
     assert len(report.checks) == 10
+
+
+def test_mutated_copy_keeps_the_preset_settings():
+    loc = preset("gr11_localized")
+    mutated = mutate_preset(Mutation("loc_scale_b_alpha", "gr11_localized",
+                                     ("b", "alpha"), ("alpha", "b"), P**-2))
+    assert mutated.limits.max_word_length == 256
+    assert (mutated.order, mutated.negative_weight, mutated.inverses) == (
+        loc.order, loc.negative_weight, loc.inverses)
+    assert len(mutated.rules) == len(loc.rules) and mutated.rules != loc.rules
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.name)
