@@ -211,22 +211,25 @@ def _monomial_str(c: Fraction, a: int, b: int) -> str:
 def _try_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     """Quotient num/den if the division is exact, else None.
 
-    Leading-term elimination in descending lex order; capped so a
-    non-dividing pair cannot loop.
+    Leading-term elimination in descending lex order.  The lowest power of
+    p (of q) in a product is the sum of the factors' lowest powers, so a
+    quotient term below that bound proves the division inexact; the terms
+    descend in lex order, so the loop ends.
     """
     if den.is_zero:
         return None
     if num.is_zero:
         return LaurentPoly.zero()
     (ea, eb), lc = den.leading()
+    low_a = min(a for a, _ in num.terms) - min(a for a, _ in den.terms)
+    low_b = min(b for _, b in num.terms) - min(b for _, b in den.terms)
     quot: dict[ExpPair, Fraction] = {}
     rem = num
-    cap = 8 * (len(num.terms) + len(den.terms)) + 32
     while rem:
-        if len(quot) > cap:
-            return None
         (ra, rb), rc = rem.leading()
         t = (ra - ea, rb - eb)
+        if t[0] < low_a or t[1] < low_b:
+            return None
         tc = rc / lc
         quot[t] = tc
         rem = rem - den.shift(*t).scale(tc)

@@ -500,82 +500,73 @@ def overlap_check(pres: Presentation) -> Report:
 
 
 def _interreduce(rules: list[RewriteRule], skeleton: Presentation) -> None:
-    """Inter-reduce `rules` in place: reduce each rule against the others
-    until none changes, then reduce every rhs with the full system, the rule
-    itself included, and start again if that changed one.  A self-embedded
-    rhs (its own lhs as a subword, possible under the weighted orders)
-    would otherwise let one reduction strategy expand forever."""
-    changed = True
-    while changed:
-        changed = False
-        for i, rule in enumerate(rules):
-            others = rules[:i] + rules[i + 1:]
-            rel = normal_form(rule.as_relation(), skeleton.with_rules(others))
-            if rel.is_zero:
-                del rules[i]
-                changed = True
-                break
-            new_rule = orient(rel, skeleton)
-            if new_rule.lhs != rule.lhs or not (new_rule.rhs - rule.rhs).is_zero:
-                rules[i] = new_rule
-                changed = True
-                break
-        if not changed:
-            full = skeleton.with_rules(rules)
-            for i, rule in enumerate(rules):
-                nf = normal_form(rule.rhs, full)
-                if not (nf - rule.rhs).is_zero:
-                    rules[i] = RewriteRule(rule.lhs, nf)
-                    changed = True
+    """Inter-reduce `rules` in place.  A rule whose lhs contains another
+    rule's lhs is reduced, as a relation, against the others: deleted if
+    that gives zero, re-oriented at its position otherwise.  Then every lhs
+    is irreducible, so one pass reducing each rhs with the full system, the
+    rule itself included, leaves every rhs irreducible; a self-embedded rhs
+    (its own lhs as a subword, possible under the weighted orders) would
+    otherwise let one reduction strategy expand forever."""
+    while True:
+        # inclusion ambiguities are the ones whose word is the first lhs
+        containing = {r1.lhs for word, (_, r1), _ in _ambiguities(rules) if word == r1.lhs}
+        i = next((i for i, rule in enumerate(rules) if rule.lhs in containing), None)
+        if i is None:
+            break
+        others = skeleton.with_rules(rules[:i] + rules[i + 1:])
+        rel = normal_form(rules[i].as_relation(), others)
+        if rel.is_zero:
+            del rules[i]
+        else:
+            rules[i] = orient(rel, skeleton)
+    full = skeleton.with_rules(rules)
+    rules[:] = [RewriteRule(rule.lhs, normal_form(rule.rhs, full)) for rule in rules]
+
+
+MAX_RULES = 64  # completion raises CompletionOverflow past this many rules
 
 
 def build_presentation(label: str, gens: Sequence[tuple[str, int]],
                        relations: Iterable[Poly], *, order: str = "deglex",
                        negative_weight: Iterable[str] = (),
                        inverses: Mapping[str, str] | None = None,
-                       complete: bool = True, max_rules: int = 64,
                        limits: ReductionLimits = ReductionLimits()) -> Presentation:
-    """Orient, inter-reduce and (boundedly) complete a relation set."""
+    """Orient, inter-reduce and (boundedly) complete a relation set.  Each
+    round adds its pending relations, each reduced against the rules so far
+    and oriented, and inter-reduces; the first round adds the input
+    relations, every later one the smallest unresolved ambiguity."""
     generators = tuple(Generator(n, p, i) for i, (n, p) in enumerate(gens))
     skeleton = Presentation(label, generators, (), order=order,
                             negative_weight=frozenset(negative_weight),
                             inverses=inverses, limits=limits)
     rules: list[RewriteRule] = []
-
-    def add_relation(rel: Poly) -> None:
-        nf = normal_form(rel, skeleton.with_rules(rules))
-        if not nf.is_zero:
-            rules.append(orient(nf, skeleton))
-
-    for rel in relations:
-        add_relation(rel)
-    _interreduce(rules, skeleton)
+    pending = list(relations)
     added = 0
-    if complete:
-        while True:
-            pres = skeleton.with_rules(rules)
-            # fair strategy: gather every unresolved ambiguity this round and
-            # install the one with the smallest leading word, so short rules
-            # form before their longer consequences can cascade
-            candidates: list[Poly] = []
-            for _, _, diff in _resolved_ambiguities(pres):
-                if diff and not any((diff - seen).is_zero or (diff + seen).is_zero
-                                    for seen in candidates):
-                    candidates.append(diff)
-            if not candidates:
-                break
-            if len(rules) >= max_rules:
-                raise CompletionOverflow(
-                    f"completion of {label!r} exceeded {max_rules} rules")
-            def _priority(d: Poly):
-                lead = pres.sort_terms(d)[0][0]
-                return (len(lead), pres.word_key(lead))
 
-            best = min(candidates, key=_priority)
-            add_relation(best)
-            _interreduce(rules, skeleton)
-            added += 1
-    return skeleton.with_rules(rules, completion_added=added)
+    def priority(d: Poly):
+        lead = skeleton.sort_terms(d)[0][0]
+        return (len(lead), skeleton.word_key(lead))
+
+    while True:
+        for rel in pending:
+            nf = normal_form(rel, skeleton.with_rules(rules))
+            if not nf.is_zero:
+                rules.append(orient(nf, skeleton))
+        _interreduce(rules, skeleton)
+        # fair strategy: of all the unresolved ambiguities of this round,
+        # install the first with the smallest leading word, so short rules
+        # form before their longer consequences can cascade
+        resolved = _resolved_ambiguities(skeleton.with_rules(rules))
+        best = min((diff for _, _, diff in resolved if diff), key=priority, default=None)
+        if best is None:
+            # a cold copy: the words met resolving ambiguities need not
+            # live as long as the presentation
+            return skeleton.with_rules(rules, completion_added=added)
+        if len(rules) >= MAX_RULES:
+            raise CompletionOverflow(
+                f"completion of {label!r} exceeded {MAX_RULES} rules")
+        pending = [best]
+        added += 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from typing import Sequence
 
 from .coeff import ONE, P, Q, RatFunc, qnum
 from .errors import (
+    DegreeCapExceeded,
     GeneratorMismatch,
     NotHomogeneous,
     NotLocalized,
@@ -517,6 +518,9 @@ def closed_power(exponent: int) -> ClosedPowerEntries:
     if exponent < 1:
         raise ValueError("exponent must be positive")
     pres = preset("gr11")
+    cap = pres.limits.max_word_length
+    if exponent > cap:  # the e-th power has a word of length e
+        raise DegreeCapExceeded(f"power {exponent} of {pres.label!r} is over the cap {cap}")
     w = Poly.word
     nf = lambda x: normal_form(x, pres)
     t = P * Q

@@ -247,6 +247,15 @@ def test_input_length_cap_follows_the_preset(tmp_path):
     assert run_cli("reduce", "--preset-file", str(path), "b^100") == (0, "b^100\n", "")
 
 
+def test_power_at_the_word_cap_prints_and_past_it_fails_at_once():
+    code, out, _ = run_cli("power", "--n", "64", "--closed-form")
+    assert code == 0 and out.startswith("exponent 64;")
+    start = time.perf_counter()
+    code, _, err = run_cli("power", "--n", "20000", "--closed-form")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and "over the cap 64" in err
+
+
 def test_huge_power_fails_before_building_the_word():
     start = time.perf_counter()
     code, _, err = run_cli("reduce", "--preset", "gr11", "b^1000000")

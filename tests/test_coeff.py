@@ -162,6 +162,39 @@ def test_qnum_telescopes(t):
         assert qnum(n, t) * (one - t) == one - t**n
 
 
+@pytest.mark.parametrize("n", [60, 80, 100])
+def test_geometric_sum_quotient_is_canonical(n):
+    # (1 - t^n)/(1 - t) divides exactly, however long the quotient
+    t = P * Q
+    quot = (one - t**n) / (one - t)
+    assert quot.den == LaurentPoly.const(1)
+    assert quot.num == qnum(n, t).num
+
+
+def test_exact_division_returns_long_quotients(rng):
+    # a = r * (1 + m + ... + m^(n-1)) and b = 1 - m telescope, so a*b has
+    # 2*len(r) terms while a has n*len(r), above a cap of the old
+    # 8*(terms)+32 kind
+    for _ in range(10):
+        m = LaurentPoly.monomial(Fraction(rng.randint(1, 3), rng.randint(1, 3)),
+                                 rng.randint(-3, 3) or 1, rng.randint(-3, 3))
+        r = LaurentPoly({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(1, 5)
+                         for _ in range(2)})
+        n = rng.randint(70, 110)
+        a = r * sum((m**k for k in range(n)), LaurentPoly.zero())
+        b = LaurentPoly.const(1) - m
+        assert len(a.terms) > 8 * (len((a * b).terms) + len(b.terms)) + 32
+        quot = RatFunc(a * b, b)
+        assert quot.den == LaurentPoly.const(1) and quot == RatFunc(a)
+        assert quot.num == a
+
+
+def test_inexact_division_keeps_its_denominator():
+    inv = one / (one + P * Q)
+    assert inv.den == LaurentPoly.const(1) + LaurentPoly.monomial(1, 1, 1)
+    assert str(inv) == "1/(p*q + 1)"
+
+
 # -- field structure ----------------------------------------------------------
 
 def test_field_axioms_on_random_samples(rng):

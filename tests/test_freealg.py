@@ -24,6 +24,7 @@ from grasspq.freealg import (
     RewriteRule,
     build_gr2,
     build_gr11,
+    build_gr11_localized,
     build_presentation,
     family,
     format_poly,
@@ -267,6 +268,50 @@ def test_two_sided_unit_pair_overlaps_resolve():
     names = {c.name for c in report.checks}
     assert any("x*y*x" in n for n in names)
     assert any("y*x*y" in n for n in names)
+
+
+def rule_strings(pres):
+    return [(r.lhs, format_poly(r.rhs, pres)) for r in pres.rules]
+
+
+def test_duplicated_input_relation_is_dropped():
+    rel = w("y", "x") - w("x", "y")
+    pres = build_presentation("dup", [("x", EVEN), ("y", EVEN)], [rel, rel])
+    assert rule_strings(pres) == [(("y", "x"), "x*y")]
+
+
+def test_rule_whose_lhs_contains_another_reducing_to_zero_is_deleted():
+    pres = build_presentation("del", [("x", EVEN), ("y", EVEN)],
+                              [w("x", "x", "y") - g("y"), w("x", "x") - Poly.unit()])
+    assert rule_strings(pres) == [(("x", "x"), "1")]
+
+
+def test_rule_whose_lhs_contains_another_is_rewritten_at_its_position():
+    # y*y*x*x contains y*x, and reduces to the nonzero relation -x*y
+    pres = build_presentation("pos", [("x", EVEN), ("y", EVEN)],
+                              [w("y", "x"), w("y", "y", "x", "x") - w("x", "y"), w("x", "x")])
+    assert rule_strings(pres) == [(("y", "x"), "0"), (("x", "y"), "0"), (("x", "x"), "0")]
+    assert pres.completion_added == 0
+
+
+def test_localized_completion_adds_six_rules_to_nineteen():
+    pres = preset("gr11_localized")
+    assert len(pres.rules) == 19 and pres.completion_added == 6
+
+
+def test_localized_build_constructs_few_presentations(monkeypatch):
+    # inter-reduction builds a presentation only for a rule whose lhs
+    # contains another's, not one per rule and pass
+    built = []
+    init = Presentation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Presentation, "__init__", counting)
+    build_gr11_localized(P, Q)
+    assert len(built) <= 64
 
 
 def test_normal_forms_are_path_independent(rng):

@@ -4,6 +4,7 @@ families their entries satisfy."""
 import pytest
 
 from grasspq.coeff import ONE, P, Q, RatFunc, qnum
+from grasspq.errors import DegreeCapExceeded
 from grasspq.freealg import ENTRY_LAYOUTS, Poly, family, normal_form, preset
 from grasspq.matops import (
     closed_power,
@@ -156,3 +157,14 @@ def test_qnum_feeds_closed_power_coefficients(gr11):
         (g("alpha", qnum(3, t)) + g("delta", P * qnum(2, t)))
         * w("b", "c") * w("b", "c"), gr11)
     assert cp.A == expected
+
+
+@pytest.mark.parametrize("exponent", [65, 10**9])
+def test_power_past_the_word_cap_fails_before_any_coefficient(monkeypatch, exponent):
+    # the e-th power has a word of length e; gr11 caps words at 64
+    def no_qnum(*args):
+        raise AssertionError("qnum ran before the cap check")
+
+    monkeypatch.setattr("grasspq.matops.qnum", no_qnum)
+    with pytest.raises(DegreeCapExceeded, match="over the cap 64"):
+        closed_power(exponent)
