@@ -45,7 +45,7 @@ from .freealg import (
     preset,
     PRESET_NAMES,
 )
-from .matops import closed_power, generic_gr11, matrix_power, rhat
+from .matops import check_power_cap, closed_power, generic_gr11, matrix_power, rhat
 from .reporting import Report
 from .verify import DEFAULT_SEED, SUITES
 
@@ -458,6 +458,7 @@ def _cmd_power(args) -> int:
         print(f"exponent {n}; effective parameters "
               f"(p^{n}, q^{n}) = ({cp.parameters[0]}, {cp.parameters[1]})")
     else:
+        check_power_cap(n, pres)
         mat = matrix_power(generic_gr11(pres), n)
         entries = {"A": mat[0, 0], "B": mat[0, 1], "C": mat[1, 0], "D": mat[1, 1]}
         print(f"exponent {n} (iterated product)")

@@ -7,6 +7,15 @@ binomials like p - q^-1 never grow a denominator.  Full bivariate gcd
 reduction is deliberately avoided: equality is decided by cross
 multiplication, which is exact, and a cheap content/exact-division
 normalization keeps intermediate sizes bounded.
+
+Every integral coefficient of a Laurent polynomial is stored as an
+`int`; a coefficient is a `Fraction` only when its value is not an
+integer (the 1/2 of `1/2*alpha`).  `_exact` is the one place that
+decides this, and every operation that makes a coefficient passes its
+non-int results through it.  Floats (and bools) are refused with
+`TypeError`, since a float is not an exact rational.  `Fraction`
+arithmetic over whole expressions happens only in `evaluate`, at
+rational points.
 """
 
 from __future__ import annotations
@@ -20,29 +29,50 @@ from .errors import SingularEvaluation, SingularSpecialization, ZeroInverse
 ExpPair = tuple[int, int]
 
 
-def _frac_content(coeffs) -> Fraction:
+def _exact(c) -> int | Fraction:
+    """The coefficient c as stored: an int when its value is integral,
+    else a Fraction.  Anything else, a float or a bool above all, is not
+    an exact rational coefficient and raises TypeError."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+
+
+def _quotient(a, b) -> int | Fraction:
+    """Exact a / b of two coefficients; `/` on two ints would make a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _exact(Fraction(a, b))
+
+
+def _frac_content(coeffs) -> int | Fraction:
     """gcd of numerators over lcm of denominators; positive."""
     num = 0
     den = 1
     for c in coeffs:
-        num = gcd(num, abs(c.numerator))
+        num = gcd(num, c.numerator)
         den = den * c.denominator // gcd(den, c.denominator)
     if num == 0:
-        return Fraction(1)
-    return Fraction(num, den)
+        return 1
+    return _quotient(num, den)
 
 
 class LaurentPoly:
-    """Laurent polynomial in p, q: a finite map (a, b) -> nonzero Fraction,
-    where (a, b) are the exponents of p and q."""
+    """Laurent polynomial in p, q: a finite map (a, b) -> nonzero
+    coefficient, where (a, b) are the exponents of p and q.  A coefficient
+    is an int, or a Fraction that is not an integer."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[ExpPair, Fraction] | None = None):
-        clean: dict[ExpPair, Fraction] = {}
+    def __init__(self, terms: Mapping[ExpPair, int | Fraction] | None = None):
+        clean: dict[ExpPair, int | Fraction] = {}
         if terms:
             for (a, b), c in terms.items():
-                c = Fraction(c)
+                c = _exact(c)
                 if c:
                     clean[(int(a), int(b))] = c
         self.terms = clean
@@ -55,11 +85,11 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c) -> LaurentPoly:
-        return cls({(0, 0): Fraction(c)})
+        return cls({(0, 0): c})
 
     @classmethod
     def monomial(cls, c, a: int, b: int) -> LaurentPoly:
-        return cls({(a, b): Fraction(c)})
+        return cls({(a, b): c})
 
     # -- predicates --------------------------------------------------------
 
@@ -83,9 +113,9 @@ class LaurentPoly:
     def __add__(self, other: LaurentPoly) -> LaurentPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int else _exact(s)
             elif e in out:
                 del out[e]
         res = LaurentPoly.__new__(LaurentPoly)
@@ -101,29 +131,29 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        out: dict[ExpPair, Fraction] = {}
+        out: dict[ExpPair, int | Fraction] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
                 e = (a1 + a2, b1 + b2)
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
+        return _normalized(out)
 
-    def scale(self, c: Fraction) -> LaurentPoly:
-        c = Fraction(c)
+    def scale(self, c: int | Fraction) -> LaurentPoly:
+        c = _exact(c)
         if not c:
             return LaurentPoly.zero()
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = {e: v * c for e, v in self.terms.items()}
-        return res
+        if c == 1:
+            return self
+        return _normalized({e: v * c for e, v in self.terms.items()})
 
     def shift(self, a: int, b: int) -> LaurentPoly:
         """Multiply by the monomial p^a q^b."""
+        if not (a or b):
+            return self
         res = LaurentPoly.__new__(LaurentPoly)
         res.terms = {(ea + a, eb + b): c for (ea, eb), c in self.terms.items()}
         return res
@@ -132,7 +162,7 @@ class LaurentPoly:
         if n < 0:
             if self.is_monomial():
                 (a, b), c = next(iter(self.terms.items()))
-                return LaurentPoly.monomial(Fraction(1) / c, -a, -b) ** (-n)
+                return LaurentPoly.monomial(_quotient(1, c), -a, -b) ** (-n)
             raise ZeroInverse("negative power of a non-monomial Laurent polynomial")
         out = LaurentPoly.const(1)
         base = self
@@ -145,16 +175,16 @@ class LaurentPoly:
 
     # -- structure ---------------------------------------------------------
 
-    def leading(self) -> tuple[ExpPair, Fraction]:
+    def leading(self) -> tuple[ExpPair, int | Fraction]:
         """Term with the largest exponent pair in descending lex order."""
         e = max(self.terms)
         return e, self.terms[e]
 
-    def content(self) -> tuple[Fraction, int, int]:
+    def content(self) -> tuple[int | Fraction, int, int]:
         """(scalar, a, b) such that self / (scalar * p^a q^b) is integer-
         primitive with minimal exponents zero and positive leading term."""
         if self.is_zero:
-            return Fraction(1), 0, 0
+            return 1, 0, 0
         a = min(e[0] for e in self.terms)
         b = min(e[1] for e in self.terms)
         c = _frac_content(self.terms.values())
@@ -162,12 +192,14 @@ class LaurentPoly:
             c = -c
         return c, a, b
 
-    def unit_divide(self, c: Fraction, a: int, b: int) -> LaurentPoly:
+    def unit_divide(self, c: int | Fraction, a: int, b: int) -> LaurentPoly:
         """Divide by the unit c * p^a q^b."""
-        inv = Fraction(1) / Fraction(c)
-        return self.scale(inv).shift(-a, -b)
+        return self.scale(_quotient(1, c)).shift(-a, -b)
 
-    def evaluate(self, p0: Fraction, q0: Fraction) -> Fraction:
+    def evaluate(self, p0, q0) -> Fraction:
+        """Exact value at the rational point (p0, q0)."""
+        if type(p0) is not Fraction or type(q0) is not Fraction:
+            p0, q0 = Fraction(_exact(p0)), Fraction(_exact(q0))
         total = Fraction(0)
         for (a, b), c in self.terms.items():
             total += c * p0**a * q0**b
@@ -197,7 +229,18 @@ class LaurentPoly:
 _UNIT = LaurentPoly.const(1)
 
 
-def _monomial_str(c: Fraction, a: int, b: int) -> str:
+def _normalized(terms: dict[ExpPair, int | Fraction]) -> LaurentPoly:
+    """The polynomial over terms, whose nonzero values may still hold
+    integral Fractions; takes ownership of the dict."""
+    for e, c in terms.items():
+        if type(c) is not int:
+            terms[e] = _exact(c)
+    res = LaurentPoly.__new__(LaurentPoly)
+    res.terms = terms
+    return res
+
+
+def _monomial_str(c: int | Fraction, a: int, b: int) -> str:
     pieces = []
     if c != 1 or (a == 0 and b == 0):
         pieces.append(str(c))
@@ -223,14 +266,14 @@ def _try_exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     (ea, eb), lc = den.leading()
     low_a = min(a for a, _ in num.terms) - min(a for a, _ in den.terms)
     low_b = min(b for _, b in num.terms) - min(b for _, b in den.terms)
-    quot: dict[ExpPair, Fraction] = {}
+    quot: dict[ExpPair, int | Fraction] = {}
     rem = num
     while rem:
         (ra, rb), rc = rem.leading()
         t = (ra - ea, rb - eb)
         if t[0] < low_a or t[1] < low_b:
             return None
-        tc = rc / lc
+        tc = _quotient(rc, lc)
         quot[t] = tc
         rem = rem - den.shift(*t).scale(tc)
     return LaurentPoly(quot)
@@ -247,12 +290,15 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
+        if not isinstance(num, LaurentPoly):
+            raise TypeError(f"numerator {num!r} is not a LaurentPoly; "
+                            "RatFunc.const makes a constant")
+        if den is None or den is _UNIT:
             den = _UNIT
-        if den.is_zero:
+        elif den.is_zero:
             raise ZeroInverse("rational function with zero denominator")
-        if num.is_zero:
-            num, den = LaurentPoly.zero(), _UNIT
+        elif num.is_zero:
+            den = _UNIT
         elif den.is_monomial():
             (a, b), c = den.leading()
             if (a, b, c) != (0, 0, 1):  # dividing by 1 would only copy num
@@ -368,11 +414,13 @@ class RatFunc:
         denominator vanishes there, or (when the admissibility guard is
         requested) p0*q0 = +-1.
         """
-        p0, q0 = Fraction(p0), Fraction(q0)
+        p0, q0 = Fraction(_exact(p0)), Fraction(_exact(q0))
         if p0 == 0 or q0 == 0:
             raise SingularEvaluation("parameters must be nonzero")
         if require_admissible and p0 * q0 in (1, -1):
             raise SingularEvaluation("admissibility requires p*q != +-1")
+        if self.den is _UNIT:
+            return self.num.evaluate(p0, q0)
         d = self.den.evaluate(p0, q0)
         if d == 0:
             raise SingularEvaluation(f"denominator vanishes at ({p0}, {q0})")

@@ -304,7 +304,8 @@ def _reduce_against(row: dict[Word, RatFunc], basis: list[tuple[Word, dict]]):
             continue
         factor = c * brow[pivot].inv()
         for w, v in brow.items():
-            s = row.get(w, RatFunc.zero()) - factor * v
+            fv = factor * v
+            s = row[w] - fv if w in row else -fv
             if s:
                 row[w] = s
             elif w in row:
@@ -497,6 +498,14 @@ def _word_power(letters: Word, n: int) -> Poly:
     return Poly({letters * n: ONE})
 
 
+def check_power_cap(exponent: int, pres: Presentation) -> None:
+    """The exponent-th power of the generic matrix has a word of length
+    exponent; refuse it before any product is built if that is over the cap."""
+    cap = pres.limits.max_word_length
+    if exponent > cap:
+        raise DegreeCapExceeded(f"power {exponent} of {pres.label!r} is over the cap {cap}")
+
+
 def closed_power(exponent: int) -> ClosedPowerEntries:
     """Closed form for the exponent-th power of the generic supermatrix.
 
@@ -518,9 +527,7 @@ def closed_power(exponent: int) -> ClosedPowerEntries:
     if exponent < 1:
         raise ValueError("exponent must be positive")
     pres = preset("gr11")
-    cap = pres.limits.max_word_length
-    if exponent > cap:  # the e-th power has a word of length e
-        raise DegreeCapExceeded(f"power {exponent} of {pres.label!r} is over the cap {cap}")
+    check_power_cap(exponent, pres)
     w = Poly.word
     nf = lambda x: normal_form(x, pres)
     t = P * Q

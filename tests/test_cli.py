@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from grasspq import matops
 from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.errors import (
     ExprSyntaxError,
@@ -254,6 +255,18 @@ def test_power_at_the_word_cap_prints_and_past_it_fails_at_once():
     code, _, err = run_cli("power", "--n", "20000", "--closed-form")
     assert time.perf_counter() - start < 1.0
     assert code == 1 and "over the cap 64" in err
+
+
+def test_iterated_power_checks_the_cap_before_any_product(monkeypatch):
+    def no_products(*args):
+        raise AssertionError("mat_mul ran before the cap check")
+
+    monkeypatch.setattr(matops, "mat_mul", no_products)
+    code, _, err = run_cli("power", "--n", "20000")
+    assert code == 1 and "power 20000 of 'gr11' is over the cap 64" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli("power", "--n", "64")
+    assert code == 0 and out.startswith("exponent 64 (iterated product)")
 
 
 def test_huge_power_fails_before_building_the_word():

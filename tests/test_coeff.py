@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from grasspq.cli import parse_coeff, parse_poly
 from grasspq.coeff import LaurentPoly, ONE, P, Q, RatFunc, ZERO, qnum
 from grasspq.errors import SingularEvaluation, ZeroInverse
+from grasspq.freealg import preset
 
 one = RatFunc.one()
 
@@ -231,3 +233,124 @@ def test_printing_roundtrips_visually():
     assert str(P + Q**-1) == "p + q^-1"
     assert str((one - P * Q) / (one + P * Q)) == "(-p*q + 1)/(p*q + 1)"
     assert str(ZERO) == "0"
+
+
+# -- coefficient representation -------------------------------------------------
+
+@pytest.mark.parametrize("bad", [0.5, 0.1, 2.0, True], ids=["half", "tenth", "integral_float", "bool"])
+def test_floats_and_bools_are_refused_at_every_entry_point(bad):
+    entries = [
+        lambda: LaurentPoly({(0, 0): bad}),
+        lambda: LaurentPoly.const(bad),
+        lambda: LaurentPoly.monomial(bad, 1, 0),
+        lambda: LaurentPoly.const(3).scale(bad),
+        lambda: LaurentPoly.const(3).evaluate(bad, 2),
+        lambda: LaurentPoly.const(3).evaluate(2, bad),
+        lambda: RatFunc(bad),
+        lambda: RatFunc.const(bad),
+        lambda: RatFunc.monomial(bad, 0, 1),
+        lambda: P.evaluate(bad, 2),
+        lambda: P.evaluate(2, bad),
+    ]
+    for make in entries:
+        with pytest.raises(TypeError):
+            make()
+
+
+def test_integral_values_are_stored_as_ints():
+    half = RatFunc.const(Fraction(1, 2))
+    assert half.num.terms == {(0, 0): Fraction(1, 2)}
+    assert type((half * RatFunc.const(2)).num.terms[(0, 0)]) is int
+    assert type(LaurentPoly.const(Fraction(6, 3)).terms[(0, 0)]) is int
+    assert type(LaurentPoly.const(Fraction(3, 2)).scale(Fraction(2, 3)).terms[(0, 0)]) is int
+
+
+def test_evaluate_at_integer_points_is_exact():
+    assert LaurentPoly.monomial(1, -1, 0).evaluate(2, 3) == Fraction(1, 2)
+    assert type((P**-1).evaluate(2, 3)) is Fraction
+
+
+def _assert_canonical(x):
+    polys = [x.num, x.den] if isinstance(x, RatFunc) else [x]
+    for poly in polys:
+        for c in poly.terms.values():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1), (poly.terms, c)
+
+
+def _random_expression(rng, depth=2):
+    if depth == 0 or rng.random() < 0.3:
+        atom = rng.choice(["p", "q", str(rng.randint(1, 6)), f"{rng.randint(1, 6)}/{rng.randint(2, 4)}"])
+        return atom if rng.random() < 0.7 else f"{atom}^{rng.randint(-2, 3)}"
+    op = rng.choice(["+", "-", "*", "/"])
+    return f"({_random_expression(rng, depth - 1)}){op}({_random_expression(rng, depth - 1)})"
+
+
+def test_stored_coefficients_are_canonical_after_every_operation(rng):
+    # every coefficient is an int, or a Fraction that is not an integer
+    for _ in range(150):
+        a, b = random_ratfunc(rng), random_ratfunc(rng)
+        results = [a + b, a - b, a * b, -a, a**rng.randint(0, 3),
+                   a.substitute(P * Q, None), a.substitute(None, P + Q**-1)]
+        if b:
+            results += [a / b, b.inv(), b**-rng.randint(1, 2), (a * b) / b]
+            # exact division of the product by a nonzero denominator
+            results.append(RatFunc(a.num * b.num, b.num))
+        for x in results:
+            _assert_canonical(x)
+        lp = a.num * b.num
+        for x in (lp, lp.scale(Fraction(rng.randint(1, 6), rng.randint(1, 4))),
+                  lp.unit_divide(Fraction(rng.randint(1, 6), rng.randint(1, 4)), 1, -1)):
+            _assert_canonical(x)
+    gr2 = preset("gr2")
+    for _ in range(100):
+        text = _random_expression(rng)
+        try:
+            scalar = parse_coeff(text)
+        except ZeroInverse:
+            continue
+        _assert_canonical(scalar)
+        for c in parse_poly(f"({text})*alpha*beta + 3/4*delta", gr2).terms.values():
+            _assert_canonical(c)
+
+
+# -- differential test against sympy ------------------------------------------------
+
+def test_agrees_with_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    p, q = sympy.symbols("p q")
+
+    def poly(lp):
+        return sum((sympy.Rational(c.numerator, c.denominator) * p**a * q**b
+                    for (a, b), c in lp.terms.items()), sympy.Integer(0))
+
+    def random_pair(depth):
+        """A random rational function, built both here and in sympy."""
+        if depth == 0 or rng.random() < 0.25:
+            leaf = LaurentPoly({(rng.randint(-2, 2), rng.randint(-2, 2)):
+                                Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                for _ in range(rng.randint(1, 3))})
+            return RatFunc(leaf), poly(leaf)
+        x, sx = random_pair(depth - 1)
+        op = rng.choice("+-*/^")
+        if op == "^":
+            n = rng.randint(-2, 3) if x else rng.randint(0, 3)
+            return x**n, sx**n
+        y, sy = random_pair(depth - 1)
+        if op == "+":
+            return x + y, sx + sy
+        if op == "-":
+            return x - y, sx - sy
+        if op == "/" and y:
+            return x / y, sx / sy
+        return x * y, sx * sy
+
+    for _ in range(25):
+        x, sx = random_pair(2)
+        y, sy = random_pair(2)
+        if rng.random() < 0.3:  # the same value, reached another way
+            y, sy = (x + y) - y, sx
+        assert sympy.cancel(poly(x.num) / poly(x.den) - sx) == 0
+        equal = sympy.cancel(sx - sy) == 0
+        assert (x - y).is_zero == equal
+        assert (x == y) == equal
+        assert sympy.expand(poly(x.num * y.num) - poly(x.num) * poly(y.num)) == 0
