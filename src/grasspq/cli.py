@@ -351,6 +351,23 @@ def dump_presentation(pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_name(text: str) -> bool:
+    """Whether text is exactly one name token of the expression grammar."""
+    try:
+        tokens = tokenize(text)
+    except ExprSyntaxError:
+        return False
+    return tokens[0].kind == "name" and tokens[0].value == text
+
+
+def _require_declared(names: list[str], gens: list[tuple[str, int]], lineno: int) -> None:
+    declared = {n for n, _ in gens}
+    unknown = [n for n in names if n not in declared]
+    if unknown:
+        raise ExprSyntaxError(
+            f"{unknown[0]!r} on line {lineno} is not a generator declared above it", 0)
+
+
 def load_presentation(text: str, label: str = "loaded") -> Presentation:
     gens: list[tuple[str, int]] = []
     inverses: dict[str, str] = {}
@@ -367,16 +384,19 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
         if head == "generator":
             name, _, parity = rest.partition(" ")
             parity = parity.strip()
-            if parity not in ("even", "odd") or not name:
+            if parity not in ("even", "odd") or not _is_name(name):
                 raise ExprSyntaxError(f"bad generator line {lineno}", 0)
             if name in ("p", "q"):
                 raise ExprSyntaxError(
                     f"generator may not shadow a parameter (line {lineno})", 0)
+            if any(name == n for n, _ in gens):
+                raise ExprSyntaxError(f"duplicate generator {name!r} on line {lineno}", 0)
             gens.append((name, ODD if parity == "odd" else EVEN))
         elif head == "inverse":
             names = rest.split()
             if len(names) != 2:
                 raise ExprSyntaxError(f"bad inverse line {lineno}", 0)
+            _require_declared(names, gens, lineno)
             inverses[names[0]] = names[1]
         elif head == "order":
             if rest not in ("deglex", "invweight"):
@@ -384,6 +404,7 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
             order = rest
         elif head == "negweight":
             negweight = rest.split()
+            _require_declared(negweight, gens, lineno)
         elif head == "maxword":
             if not rest.isdecimal() or int(rest) < 1:
                 raise ExprSyntaxError(f"bad maxword line {lineno}: need a positive integer", 0)

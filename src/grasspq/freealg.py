@@ -3,8 +3,12 @@ oriented rewrite systems and normal forms.
 
 Words are tuples of generator names; a polynomial maps words to nonzero
 coefficients.  A presentation fixes a generator order and a confluent set
-of oriented rules; normal_form rewrites until no rule left-hand side
-occurs as a subword.  Local confluence is checked by resolving every
+of oriented rules.  normal_form builds the normal form of a word one letter
+at a time, NF(x1...xn) = NF(NF(x1...xn-1)*xn): since the prefix is
+normal, every redex ends at the junction, and the results are cached on
+(normal word, letter).  In a confluent system any reduction order gives
+the same normal form (Bergman's diamond lemma), so this equals the
+leftmost normal form.  Local confluence is checked by resolving every
 overlap ambiguity of rule left-hand sides (diamond lemma); the localized
 presentation is finished by bounded completion.
 """
@@ -29,6 +33,7 @@ from .errors import (
 from .reporting import Check, Report, truncate_poly_text
 
 Word = tuple[str, ...]
+Junctions = dict[tuple[Word, str], dict[Word, RatFunc]]  # (v, x) -> NF(v*x)
 
 EVEN, ODD = 0, 1
 
@@ -146,9 +151,6 @@ class Poly:
         res.terms = out
         return res
 
-    def letters(self) -> set[str]:
-        return {g for w in self.terms for g in w}
-
     def max_word_length(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
@@ -212,9 +214,10 @@ class Presentation:
         self._by_first: dict[str, list[RewriteRule]] = {}
         for r in self.rules:
             self._by_first.setdefault(r.lhs[0], []).append(r)
-        # word -> leftmost normal form; an entry is never mutated once
-        # published, and entries are published only when complete
-        self._nf_cache: dict[Word, dict[Word, RatFunc]] = {}
+        self._longest_lhs = max((len(r.lhs) for r in self.rules), default=0)
+        # (normal word v, letter x) -> normal form of v*x; an entry is never
+        # mutated once published, and entries are published only when complete
+        self._junctions: Junctions = {}
 
     # -- order -------------------------------------------------------------
 
@@ -239,27 +242,30 @@ class Presentation:
         return None
 
     def validate(self, poly: Poly) -> None:
-        unknown = poly.letters() - self.by_name.keys()
+        unknown = {g for w in poly.terms for g in w} - self.by_name.keys()
         if unknown:
             raise GeneratorMismatch(
                 f"{sorted(unknown)} not declared in presentation {self.label!r}")
 
     # -- reduction ----------------------------------------------------------
 
-    def find_reduction(self, w: Word, strategy: str = "leftmost"):
+    def find_reduction(self, w: Word, strategy: str = "leftmost", start: int = 0):
+        """The first redex (position, rule) of w at or after `start` in the
+        strategy's scan order, or None."""
         # "oddfirst" collapses odd-letter pairs before touching even ones;
         # it is the safe alternate path for the localized system, where the
         # non-well-founded order lets a pure rightmost scan expand the
         # inverse frontier forever ahead of the nilpotent cancellations
         if strategy == "oddfirst":
-            for i in range(len(w)):
+            for i in range(start, len(w)):
                 for rule in self._by_first.get(w[i], ()):
                     n = len(rule.lhs)
                     if w[i:i + n] == rule.lhs and any(
                             self._parity[g] for g in rule.lhs):
                         return i, rule
             strategy = "rightmost"
-        positions = range(len(w)) if strategy == "leftmost" else range(len(w) - 1, -1, -1)
+        positions = (range(start, len(w)) if strategy == "leftmost"
+                     else range(len(w) - 1, start - 1, -1))
         for i in positions:
             for rule in self._by_first.get(w[i], ()):
                 n = len(rule.lhs)
@@ -291,36 +297,72 @@ def normal_form(poly: Poly, pres: Presentation, *, strategy: str = "leftmost") -
     """Reduce until no rule lhs occurs as a subword.  The result is the
     canonical representative modulo the two-sided ideal of relations.
 
-    The default leftmost strategy is the linear extension of the
-    presentation's word -> normal form cache.  "rightmost" and "oddfirst"
-    rewrite the whole polynomial without the cache, as an independent
-    oracle for path independence."""
+    The default strategy folds each word letter by letter onto normal
+    words (see the module docstring) through the presentation's (normal
+    word, letter) cache.  "rightmost" and "oddfirst" rewrite the whole
+    polynomial without the cache, as an independent oracle for path
+    independence."""
     pres.validate(poly)
     if strategy != "leftmost":
         return _worklist_normal_form(poly, pres, strategy)
-    cache = pres._nf_cache
-    fresh: dict[Word, dict[Word, RatFunc]] = {}
-    _reduce_words(poly.terms, pres, fresh)
+    fresh: Junctions = {}
     result: dict[Word, RatFunc] = {}
     for w, c in poly.terms.items():
-        nf = cache.get(w)
-        _add_scaled(result, fresh[w] if nf is None else nf, c)
+        # the letters before the leftmost redex are a normal word, so a
+        # word already normal costs one scan and adds no cache entry
+        hit = pres.find_reduction(w)
+        if hit is None:
+            _add_scaled(result, {w: ONE}, c)
+        else:
+            _add_scaled(result, _drive(_fold({w[:hit[0]]: ONE}, w[hit[0]:], pres, fresh),
+                                       pres, fresh), c)
     # publish only after the whole call succeeded, so a raise leaves no trace
-    cache.update(fresh)
+    pres._junctions.update(fresh)
     return Poly(result)
+
+
+def _drive(root, pres: Presentation, fresh: Junctions) -> dict[Word, RatFunc]:
+    """Run a fold, computing each (normal word, letter) key it misses into
+    `fresh` on one explicit stack of generators, so there is no recursion.
+    A miss counts against `max_steps` (the call's misses so far are the
+    keys in `fresh` or pending); a key missed again while pending raises,
+    since the `invweight` order is not well-founded."""
+    stack = [root]
+    pending: dict[tuple[Word, str], None] = {}  # keys of the frames above the root
+    value = None
+    while True:
+        try:
+            key = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            fresh[pending.popitem()[0]] = value = done.value
+            continue
+        if key in pending:
+            raise DegreeCapExceeded(f"word {_word_str(key[0] + (key[1],))} recurs "
+                                    f"on its own reduction path in {pres.label!r}")
+        if len(fresh) + len(pending) >= pres.limits.max_steps:
+            raise DegreeCapExceeded(
+                f"reduction in {pres.label!r} exceeded {pres.limits.max_steps} steps")
+        stack.append(_junction(*key, pres, fresh))
+        pending[key] = None
+        value = None
 
 
 def _add_scaled(acc: dict[Word, RatFunc], terms: Mapping[Word, RatFunc],
                 c: RatFunc) -> None:
-    """acc += c * terms, dropping words whose coefficients cancel."""
+    """acc += c * terms, dropping words whose coefficients cancel; c and
+    the coefficients of terms are nonzero."""
     for w, v in terms.items():
-        t = c * v
+        t = v if c is ONE else c * v
         s = acc.get(w)
-        s = t if s is None else s + t
-        if s:
-            acc[w] = s
-        elif w in acc:
-            del acc[w]
+        if s is not None:
+            t = s + t
+            if not t:
+                del acc[w]
+                continue
+        acc[w] = t
 
 
 def _rewrite_at(w: Word, pos: int, rule: RewriteRule,
@@ -339,64 +381,37 @@ def _rewrite_at(w: Word, pos: int, rule: RewriteRule,
     return out
 
 
-def _reduce_words(words: Iterable[Word], pres: Presentation,
-                  fresh: dict[Word, dict[Word, RatFunc]]) -> None:
-    """Put the leftmost normal form of every word that is not cached yet,
-    and of every word met while reducing it, into `fresh`.
+def _fold(state: dict[Word, RatFunc], letters: Word, pres: Presentation, fresh: Junctions):
+    """Fold letters one at a time onto a combination of normal words;
+    yields each (normal word, letter) whose normal form is neither cached
+    nor in `fresh`, and returns the folded combination."""
+    cache = pres._junctions
+    for x in letters:
+        folded: dict[Word, RatFunc] = {}
+        for v, c in state.items():
+            nf = cache.get((v, x))
+            if nf is None:
+                nf = fresh.get((v, x))
+                if nf is None:
+                    nf = yield v, x
+            _add_scaled(folded, nf, c)
+        state = folded
+    return state
 
-    A miss rewrites its leftmost redex once and combines the normal forms
-    of the resulting words; these are found depth first with an explicit
-    stack, so there is no recursion.  Every miss counts against
-    `max_steps`, and every rewritten word against `max_word_length`.  A
-    word met again on its own reduction path raises, since the
-    `invweight` order is not well-founded."""
-    cache = pres._nf_cache
-    limits = pres.limits
-    misses = 0
 
-    def expand(w: Word):
-        """Successors (word, coefficient) of w's leftmost rewrite, or None
-        if w is irreducible."""
-        nonlocal misses
-        misses += 1
-        if misses > limits.max_steps:
-            raise DegreeCapExceeded(
-                f"reduction in {pres.label!r} exceeded {limits.max_steps} steps")
-        hit = pres.find_reduction(w)
-        return None if hit is None else _rewrite_at(w, *hit, pres)
-
-    for root in words:
-        if root in cache or root in fresh:
-            continue
-        stack = [[root, None]]  # frames: word, successors once expanded
-        on_path = {root}
-        while stack:
-            frame = stack[-1]
-            w, succ = frame
-            if succ is None:
-                succ = frame[1] = expand(w)
-                if succ is None:
-                    fresh[w] = {w: ONE}
-                    stack.pop()
-                    on_path.discard(w)
-                    continue
-            child = next((nw for nw, _ in succ
-                          if nw not in cache and nw not in fresh), None)
-            if child is not None:
-                if child in on_path:
-                    raise DegreeCapExceeded(
-                        f"word {_word_str(child)} recurs on its own reduction "
-                        f"path in {pres.label!r}")
-                stack.append([child, None])
-                on_path.add(child)
-                continue
-            nf: dict[Word, RatFunc] = {}
-            for nw, rc in succ:
-                known = cache.get(nw)
-                _add_scaled(nf, fresh[nw] if known is None else known, rc)
-            fresh[w] = nf
-            stack.pop()
-            on_path.discard(w)
+def _junction(v: Word, x: str, pres: Presentation, fresh: Junctions):
+    """The normal form of v*x for a normal word v: every redex ends at x,
+    so only the last (longest lhs) letters are scanned, and each rewritten
+    word is folded back onto the normal prefix before the redex."""
+    u = v + (x,)
+    hit = pres.find_reduction(u, start=max(0, len(u) - pres._longest_lhs))
+    if hit is None:
+        return {u: ONE}
+    pos, rule = hit
+    nf: dict[Word, RatFunc] = {}
+    for nw, rc in _rewrite_at(u, pos, rule, pres):
+        _add_scaled(nf, (yield from _fold({nw[:pos]: ONE}, nw[pos:], pres, fresh)), rc)
+    return nf
 
 
 def _worklist_normal_form(poly: Poly, pres: Presentation, strategy: str) -> Poly:
@@ -408,8 +423,6 @@ def _worklist_normal_form(poly: Poly, pres: Presentation, strategy: str) -> Poly
     steps = 0
     while pending:
         w, c = pending.popitem()
-        if not c:
-            continue
         hit = pres.find_reduction(w, strategy)
         if hit is None:
             _add_scaled(result, {w: ONE}, c)
@@ -728,18 +741,11 @@ def free_algebra_on(pres: Presentation) -> Presentation:
 # ---------------------------------------------------------------------------
 
 
-def is_irreducible(word: Word, pres: Presentation) -> bool:
-    return pres.find_reduction(word) is None
-
-
 def irreducible_words(pres: Presentation, max_length: int) -> list[Word]:
     names = [g.name for g in pres.generators]
-    out: list[Word] = []
-    for n in range(max_length + 1):
-        for combo in itertools.product(names, repeat=n):
-            if is_irreducible(combo, pres):
-                out.append(combo)
-    return out
+    return [word for n in range(max_length + 1)
+            for word in itertools.product(names, repeat=n)
+            if pres.find_reduction(word) is None]
 
 
 # ---------------------------------------------------------------------------
@@ -868,14 +874,6 @@ def _word_str(word: Word) -> str:
     return "*".join(pieces)
 
 
-def _coeff_str(c: RatFunc) -> tuple[str, bool]:
-    """Canonical coefficient text and whether it is sign-splittable
-    (a bare monomial whose leading minus can be pulled out)."""
-    simple = (len(c.den.terms) == 1 and (0, 0) in c.den.terms
-              and c.den.terms[(0, 0)] == 1 and len(c.num.terms) == 1)
-    return str(c), simple
-
-
 def format_poly(poly: Poly, pres: Presentation) -> str:
     """Single-line canonical form: terms in descending monomial order,
     coefficients in canonical fraction form.  Round-trips through the CLI
@@ -884,8 +882,9 @@ def format_poly(poly: Poly, pres: Presentation) -> str:
         return "0"
     out = []
     for word, coeff in pres.sort_terms(poly):
-        text, simple = _coeff_str(coeff)
-        if simple:
+        text = str(coeff)
+        # a bare monomial's leading minus can be pulled out as the sign
+        if coeff.den.terms == {(0, 0): 1} and len(coeff.num.terms) == 1:
             negative = text.startswith("-")
             mag = text[1:] if negative else text
             if word and mag == "1":

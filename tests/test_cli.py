@@ -335,6 +335,20 @@ def test_loader_rejects_maxword_that_is_not_a_positive_integer(line):
         load_presentation(text)
 
 
+@pytest.mark.parametrize("text", [
+    "generator x even\ngenerator x odd\n",
+    "generator x even\ninverse x xinv\n",
+    "generator x even\ninverse y x\n",
+    "generator x even\nnegweight x y\n",
+    "generator x even\ngenerator x*y even\n",
+    "generator x even\ngenerator 2x even\n",
+    "generator x even\ngenerator x- odd\n",
+])
+def test_loader_rejects_invalid_or_undeclared_names(text):
+    with pytest.raises(ExprSyntaxError, match="line 2"):
+        load_presentation(text)
+
+
 def test_loader_rejections_exit_with_usage_code(tmp_path):
     path = tmp_path / "bad.preset"
     path.write_text("generator x even\norder foo\n")

@@ -106,21 +106,22 @@ def test_generator_mismatch_raises():
 
 
 def test_degree_cap_guard():
-    # x -> x*x grows without bound; the cap must trip, not loop, and trip
+    # x -> y*x grows by one letter per fold step without revisiting a
+    # pending (word, letter) key; the cap must trip, not loop, and trip
     # again on repeat, since a failed call leaves nothing in the cache
     grow = Presentation(
         "grow", preset("plane_p20").generators,
-        [RewriteRule(("x",), w("x", "x"))],
+        [RewriteRule(("x",), w("y", "x"))],
         limits=ReductionLimits(max_word_length=16))
     for _ in range(2):
         with pytest.raises(DegreeCapExceeded, match="exceeds the cap 16"):
             normal_form(g("x"), grow)
 
 
-# -- the word cache -------------------------------------------------------------
+# -- the junction cache ---------------------------------------------------------
 
 def cold_copy(pres, limits=None):
-    """Same rules and order as pres, with an empty word cache."""
+    """Same rules and order as pres, with an empty junction cache."""
     return Presentation(pres.label, pres.generators, pres.rules, order=pres.order,
                         negative_weight=pres.negative_weight, inverses=pres.inverses,
                         limits=limits or pres.limits)
@@ -133,25 +134,35 @@ def random_words(rng, pres, count, max_len=6):
 
 
 def test_two_rule_loop_raises_instead_of_recursing():
+    # x -> x*x folds x back onto the empty word, a key still pending
     gens = preset("plane_p20").generators
-    loop = Presentation("loop", gens, [RewriteRule(("x",), g("y")),
-                                       RewriteRule(("y",), g("x"))])
-    for _ in range(2):
-        with pytest.raises(DegreeCapExceeded, match="recurs"):
-            normal_form(g("x") + w("y", "x"), loop)
+    loops = [Presentation("loop", gens, [RewriteRule(("x",), g("y")),
+                                         RewriteRule(("y",), g("x"))]),
+             Presentation("square", gens, [RewriteRule(("x",), w("x", "x"))])]
+    for loop in loops:
+        for _ in range(2):
+            with pytest.raises(DegreeCapExceeded, match="recurs"):
+                normal_form(g("x") + w("y", "x"), loop)
 
 
 def test_reduction_deeper_than_the_recursion_limit():
-    # y^k x^k needs k^2 successive swaps y*x -> p^-1 x*y, each one word
+    # y^k x^k needs k^2 successive swaps y*x -> p^-1 x*y, each one word;
+    # folding x onto y^n needs the normal form of y^(n-1)*x first, so
+    # y^1200*x nests 1200 pending junctions
     k = 40
     assert k * k > sys.getrecursionlimit()
     deep = cold_copy(preset("plane_p20"), ReductionLimits(max_word_length=2 * k))
     nf = normal_form(Poly({("y",) * k + ("x",) * k: ONE}), deep)
     assert nf == Poly({("x",) * k + ("y",) * k: P ** -(k * k)})
+    n = 1200
+    assert n > sys.getrecursionlimit()
+    deeper = cold_copy(preset("plane_p20"), ReductionLimits(max_word_length=2 * n))
+    nf = normal_form(Poly({("y",) * n + ("x",): ONE}), deeper)
+    assert nf == Poly({("x",) + ("y",) * n: P ** -n})
 
 
 def test_step_cap_counts_misses_on_a_cold_cache_and_on_repeat():
-    # (c*b)^3 takes 38 misses; were the entries a failed call finished
+    # (c*b)^3 takes 49 misses; were the entries a failed call finished
     # kept, the next call would start from them and get further
     word = Poly({("c", "b") * 3: ONE})
     tight = cold_copy(preset("gr11"), ReductionLimits(max_steps=20))
@@ -317,17 +328,22 @@ def test_localized_build_constructs_few_presentations(monkeypatch):
 def test_normal_forms_are_path_independent(rng):
     # rightmost is provably unsafe over the localized order (no weighted
     # monomial order can bound the inverse-commutation correction), so that
-    # preset is exercised with the odd-collapsing alternate strategy instead
+    # preset is exercised with the odd-collapsing alternate strategy instead;
+    # having no termination proof, it is also checked on every word of
+    # length at most 5 (9,331 words)
     strategies = {"gr2": "rightmost", "gr11": "rightmost",
                   "gr11_localized": "oddfirst"}
     for name, alt in strategies.items():
         pres = preset(name)
         names = [gen.name for gen in pres.generators]
-        for _ in range(200):
-            word = tuple(rng.choice(names) for _ in range(rng.randint(0, 6)))
+        words = [tuple(rng.choice(names) for _ in range(rng.randint(0, 6)))
+                 for _ in range(200)]
+        if name == "gr11_localized":
+            words += [word for n in range(6) for word in itertools.product(names, repeat=n)]
+        for word in words:
             a = normal_form(Poly({word: ONE}), pres, strategy="leftmost")
             b = normal_form(Poly({word: ONE}), pres, strategy=alt)
-            assert (a - b).is_zero
+            assert (a - b).is_zero, word
 
 
 # -- reduction is linear and idempotent ----------------------------------------------
