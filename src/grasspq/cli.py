@@ -9,6 +9,8 @@ Grammar (products are noncommutative, '*' mandatory between atoms):
     factor := '-' factor | atom ('^' int)?
     atom   := integer | 'p' | 'q' | generator | '(' expr ')'
 
+Integers are runs of the ASCII digits 0-9.
+
 '^' binds tighter than '*' and '/', which bind tighter than '+' and '-';
 unary minus sits just below '^' (so -p^2 means -(p^2)).  Division
 requires a scalar divisor.  Negative powers are allowed on scalars and
@@ -54,6 +56,7 @@ from .verify import DEFAULT_SEED, SUITES
 # ---------------------------------------------------------------------------
 
 _OPS = set("+-*/^()")
+_DIGITS = set("0123456789")
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,9 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("int", text[i:j], i))
             i = j
@@ -326,7 +329,7 @@ def parse_coeff(text: str) -> RatFunc:
 #
 # line-oriented format:
 #   generator <name> <even|odd>
-#   inverse <generator> <inverse-generator>     (optional)
+#   inverse <generator> <inverse-generator>     (optional: both products must reduce to 1)
 #   order <deglex|invweight>                    (optional)
 #   negweight <name> [<name> ...]               (optional)
 #   maxword <n>                                 (optional: word-length cap, default 64)
@@ -371,6 +374,7 @@ def _require_declared(names: list[str], gens: list[tuple[str, int]], lineno: int
 def load_presentation(text: str, label: str = "loaded") -> Presentation:
     gens: list[tuple[str, int]] = []
     inverses: dict[str, str] = {}
+    inverse_lines: dict[str, int] = {}
     order = "deglex"
     negweight: list[str] = []
     limits = ReductionLimits()
@@ -397,7 +401,11 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
             if len(names) != 2:
                 raise ExprSyntaxError(f"bad inverse line {lineno}", 0)
             _require_declared(names, gens, lineno)
+            if names[0] in inverses:
+                raise ExprSyntaxError(
+                    f"repeated inverse for {names[0]!r} on line {lineno}", 0)
             inverses[names[0]] = names[1]
+            inverse_lines[names[0]] = lineno
         elif head == "order":
             if rest not in ("deglex", "invweight"):
                 raise ExprSyntaxError(f"unknown order {rest!r} on line {lineno}", 0)
@@ -406,7 +414,7 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
             negweight = rest.split()
             _require_declared(negweight, gens, lineno)
         elif head == "maxword":
-            if not rest.isdecimal() or int(rest) < 1:
+            if not (rest.isascii() and rest.isdecimal()) or int(rest) < 1:
                 raise ExprSyntaxError(f"bad maxword line {lineno}: need a positive integer", 0)
             limits = ReductionLimits(max_word_length=int(rest))
         elif head == "relation":
@@ -417,14 +425,21 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
         Generator(n, p, i) for i, (n, p) in enumerate(gens)), (),
         inverses=inverses, limits=limits)
     relations = [_eval(parse(t, skeleton), skeleton) for t in relation_texts]
-    return build_presentation(label, gens, relations, order=order,
+    pres = build_presentation(label, gens, relations, order=order,
                               negative_weight=negweight, inverses=inverses,
                               limits=limits)
+    for name, inv in inverses.items():
+        for word in ((name, inv), (inv, name)):
+            if not normal_form(Poly.word(*word) - Poly.unit(), pres).is_zero:
+                raise ExprSyntaxError(
+                    f"inverse {name} {inv} on line {inverse_lines[name]}: "
+                    f"{'*'.join(word)} does not reduce to 1", 0)
+    return pres
 
 
 def load_presentation_file(path: str | Path) -> Presentation:
     path = Path(path)
-    return load_presentation(path.read_text(), label=path.stem)
+    return load_presentation(path.read_text(encoding="utf-8"), label=path.stem)
 
 
 def builtin_preset_text(name: str) -> str:
@@ -494,8 +509,10 @@ def _emit_report(report: Report, as_json: bool) -> int:
 
 
 def _cmd_verify(args) -> int:
-    runner = SUITES[args.suite]
-    report = runner(args.max_n, args.seed)
+    if args.max_n < 1:
+        print("verify needs --max-n >= 1", file=sys.stderr)
+        return 2
+    report = SUITES[args.suite](args.max_n, args.seed)
     return _emit_report(report, args.json)
 
 
@@ -562,7 +579,7 @@ def main(argv=None) -> int:
     except (ExprSyntaxError, UnknownGenerator, NegativePowerOfNonInvertible) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable --preset-file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

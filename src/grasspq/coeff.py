@@ -407,18 +407,15 @@ class RatFunc:
 
     # -- evaluation and substitution ----------------------------------------
 
-    def evaluate(self, p0, q0, require_admissible: bool = False) -> Fraction:
+    def evaluate(self, p0, q0) -> Fraction:
         """Exact value at (p0, q0).
 
-        Raises SingularEvaluation if either parameter is zero, the
-        denominator vanishes there, or (when the admissibility guard is
-        requested) p0*q0 = +-1.
+        Raises SingularEvaluation if either parameter is zero or the
+        denominator vanishes there.
         """
         p0, q0 = Fraction(_exact(p0)), Fraction(_exact(q0))
         if p0 == 0 or q0 == 0:
             raise SingularEvaluation("parameters must be nonzero")
-        if require_admissible and p0 * q0 in (1, -1):
-            raise SingularEvaluation("admissibility requires p*q != +-1")
         if self.den is _UNIT:
             return self.num.evaluate(p0, q0)
         d = self.den.evaluate(p0, q0)

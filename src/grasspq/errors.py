@@ -10,7 +10,7 @@ class ZeroInverse(AlgebraError):
 
 
 class SingularEvaluation(AlgebraError):
-    """Evaluation point kills a denominator or violates the admissibility guard."""
+    """Evaluation point has a zero parameter or kills a denominator."""
 
 
 class SingularSpecialization(AlgebraError):

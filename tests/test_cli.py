@@ -105,7 +105,7 @@ def test_power_expands_to_repeated_product():
 def test_parser_totality_no_crashes():
     pres = preset("gr2")
     for text in ("", "*", "alpha+", "((", "p^", "p^x", "1//2", "alpha beta",
-                 ")", "^2", "alpha*^", "%"):
+                 ")", "^2", "alpha*^", "%", "²", "alpha^²"):
         with pytest.raises((ExprSyntaxError, UnknownGenerator)):
             parse_poly(text, pres)
 
@@ -313,6 +313,18 @@ def test_preset_file_missing(tmp_path):
     assert code == 2
 
 
+def test_bad_max_n_and_unreadable_preset_files_exit_with_usage_code(tmp_path):
+    not_utf8 = tmp_path / "latin1.preset"
+    not_utf8.write_bytes("generator \xe9 even\n".encode("latin-1"))
+    for argv in (("verify", "--suite", "powers", "--max-n", "0"),
+                 ("verify", "--suite", "all", "--max-n", "-2"),
+                 ("reduce", "--preset-file", str(tmp_path), "x"),
+                 ("reduce", "--preset-file", str(not_utf8), "x")):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(("error: ", "verify needs --max-n >= 1")), argv
+
+
 @pytest.mark.parametrize("line", ["order foo", "order", "order deglex invweight"])
 def test_loader_rejects_unknown_order(line):
     text = f"generator x even\n{line}\nrelation x*x\n"
@@ -328,7 +340,7 @@ def test_loader_rejects_inverse_without_single_name(line):
 
 
 @pytest.mark.parametrize("line", ["maxword 0", "maxword x", "maxword", "maxword -3",
-                                  "maxword 2.5", "maxword 8 9"])
+                                  "maxword 2.5", "maxword 8 9", "maxword ٣"])
 def test_loader_rejects_maxword_that_is_not_a_positive_integer(line):
     text = f"generator x even\n{line}\nrelation x*x\n"
     with pytest.raises(ExprSyntaxError, match="line 2"):
@@ -346,6 +358,23 @@ def test_loader_rejects_maxword_that_is_not_a_positive_integer(line):
 ])
 def test_loader_rejects_invalid_or_undeclared_names(text):
     with pytest.raises(ExprSyntaxError, match="line 2"):
+        load_presentation(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    # y is no inverse of x: x^-1*x would print x*y
+    ("generator x even\ngenerator y even\ninverse x y\nrelation x*y - y*x\n",
+     "inverse x y on line 3: x\\*y does not reduce to 1"),
+    # x*x reduces to x, not 1
+    ("generator x even\ngenerator y even\ninverse x x\nrelation x*x - x\n",
+     "inverse x x on line 3: x\\*x does not reduce to 1"),
+    # a second inverse line would silently replace the first
+    ("generator x even\ngenerator y even\ninverse x y\ninverse x x\n"
+     "relation x*y - 1\nrelation y*x - 1\n",
+     "repeated inverse for 'x' on line 4"),
+])
+def test_loader_checks_inverse_lines(text, message):
+    with pytest.raises(ExprSyntaxError, match=message):
         load_presentation(text)
 
 

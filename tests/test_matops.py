@@ -39,7 +39,7 @@ from grasspq.matops import (
     tensor_graded,
     tensor_ungraded,
 )
-from grasspq.matops import _fraction_rank
+from grasspq.matops import _echelon
 
 w = Poly.word
 g = Poly.gen
@@ -230,6 +230,19 @@ def test_span_equal_scaling_invariance(gr2):
     assert span_equal(rels, scaled, label="scaled").passed
 
 
+def test_span_equal_names_the_failing_direction(gr2):
+    rels = gr2.relation_polys()
+    statuses = lambda report: {c.name: c.status for c in report.checks}
+    assert statuses(span_equal(rels, rels[1:], label="sub")) == {
+        "membership_second_in_first": "pass",
+        "membership_first_in_second": "fail",
+        "numeric_rank_crosscheck": "fail"}
+    assert statuses(span_equal(rels[1:], rels, label="super")) == {
+        "membership_second_in_first": "fail",
+        "membership_first_in_second": "pass",
+        "numeric_rank_crosscheck": "fail"}
+
+
 def dense_rank(rows):
     """Reference rank: Gauss elimination on the dense Fraction matrix."""
     cols = sorted({c for row in rows for c in row})
@@ -265,7 +278,12 @@ def test_sparse_rank_matches_dense_elimination(rng):
                        for c in rng.sample(cols, rng.randint(1, 3))}
                 row = {c: v for c, v in row.items() if v}
             rows.append(row)
-        assert _fraction_rank(rows) == dense_rank(rows)
+        assert len(_echelon(rows)) == dense_rank(rows)
+        # rows appended to the echelon of a prefix: the rank of the union
+        cut = rng.randint(0, len(rows))
+        prefix = _echelon(rows[:cut])
+        assert len(_echelon(rows[cut:], prefix)) == dense_rank(rows)
+        assert len(prefix) == dense_rank(rows[:cut])  # the basis is copied, not grown
 
 
 def test_span_equal_rejects_inhomogeneous():

@@ -1,5 +1,6 @@
 """Suite reports: contents, determinism, JSON schema, fault injection."""
 
+import hashlib
 import json
 
 import pytest
@@ -73,6 +74,18 @@ def test_reports_deterministic():
     a = suite_gr2(seed=7)
     b = suite_gr2(seed=7)
     assert a.signature() == b.signature()
+
+
+def test_signatures_are_pinned():
+    # sha256 of repr(signature()) at DEFAULT_SEED; a change that moves a
+    # signature on purpose updates these and says why
+    def digest(report):
+        return hashlib.sha256(repr(report.signature()).encode()).hexdigest()
+
+    assert digest(suite_all(3, DEFAULT_SEED)) == (
+        "e8feefd6f5cd3b718e8458807862f210e6e539bc57ce86b0cc54df0ac990af52")
+    assert digest(fault_injection_report(DEFAULT_SEED)) == (
+        "339970dd30b2ceab0c6e5630879b57655ebd84cd9974b8495c9f7c5fd7056a88")
 
 
 def test_report_records_seed(gr2_report):
