@@ -9,7 +9,11 @@ Grammar (products are noncommutative, '*' mandatory between atoms):
     factor := '-' factor | atom ('^' int)?
     atom   := integer | 'p' | 'q' | generator | '(' expr ')'
 
-Integers are runs of the ASCII digits 0-9.
+Tokens: an integer is a run of the ASCII digits 0-9.  A name is a Unicode
+letter or '_' (str.isalpha), then any Unicode letters, digits or '_'
+(str.isalnum), so 'x²' is one name and '²' or '٣' alone is an error.
+Whitespace is any Unicode whitespace (str.isspace) and only separates
+tokens.  Any other character is an error at its position.
 
 '^' binds tighter than '*' and '/', which bind tighter than '+' and '-';
 unary minus sits just below '^' (so -p^2 means -(p^2)).  Division
@@ -20,12 +24,12 @@ on generators with a declared inverse.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .coeff import RatFunc
+from .coeff import ONE, P, Q, RatFunc
 from .errors import (
     AlgebraError,
     DegreeCapExceeded,
@@ -40,11 +44,14 @@ from .freealg import (
     Poly,
     Presentation,
     ReductionLimits,
+    Word,
+    add_scaled,
     build_presentation,
     format_poly,
     normal_form,
     overlap_check,
     preset,
+    product_terms,
     PRESET_NAMES,
 )
 from .matops import check_power_cap, closed_power, generic_gr11, matrix_power, rhat
@@ -52,180 +59,114 @@ from .reporting import Report
 from .verify import DEFAULT_SEED, SUITES
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# tokens and syntax trees
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*/^()")
-_DIGITS = set("0123456789")
+# A token is a tuple (kind, value, position): kind is "int", "name" or
+# "end", or for an operator or a parenthesis the character itself.  A
+# syntax tree is a tuple whose first entry is its tag: ("num", int),
+# ("param", "p" | "q"), ("gen", name), ("neg", tree), ("^", tree, int) or
+# (op, tree, tree) for op in "+-*/".
+
+# Python's \w is exactly str.isalnum() or "_", and \s exactly str.isspace();
+# a \w run that starts with a digit other than 0-9 is no name.  Every
+# character is \s or \S, so consecutive matches cover the whole text but
+# for trailing whitespace.
+_TOKEN = re.compile(r"\s*(?:([-+*/^()])|([0-9]+)|(\w+)|(\S))")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # int | name | op | end
-    value: str
-    pos: int
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
-            tokens.append(Token("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("name", text[i:j], i))
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(Token("op", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(Token("end", "", len(text)))
+def tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        value = m.group(group)
+        if group == 1:
+            kind = value
+        elif group == 2:
+            kind = "int"
+        elif group == 3 and (value[0].isalpha() or value[0] == "_"):
+            kind = "name"
+        else:
+            raise ExprSyntaxError(f"unexpected character {value[0]!r}", m.start(group))
+        tokens.append((kind, value, m.start(group)))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-# ---------------------------------------------------------------------------
-# abstract syntax
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: int
-
-
-@dataclass(frozen=True)
-class Param:
-    name: str  # p or q
-
-
-@dataclass(frozen=True)
-class Gen:
-    name: str
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # + - * /
-    left: "Expr"
-    right: "Expr"
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Expr"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Expr"
-
-
-Expr = Num | Param | Gen | BinOp | Power | Neg
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token], pres: Presentation):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent; `tok` is the next token, and the end token is
+    never consumed."""
+
+    def __init__(self, tokens: list[tuple[str, str, int]], pres: Presentation):
+        self.rest = iter(tokens)
+        self.tok = next(self.rest)
         self.pres = pres
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok.pos)
-        self.advance()
-
-    def parse(self) -> Expr:
+    def parse(self) -> tuple:
         node = self.expr()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {tok.value!r}", tok.pos)
+        kind, value, pos = self.tok
+        if kind != "end":
+            raise ExprSyntaxError(f"unexpected trailing input {value!r}", pos)
         return node
 
-    def expr(self) -> Expr:
+    def expr(self) -> tuple:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().value in "+-":
-            op = self.advance().value
-            node = BinOp(op, node, self.term())
+        while (op := self.tok[0]) == "+" or op == "-":
+            self.tok = next(self.rest)
+            node = (op, node, self.term())
         return node
 
-    def term(self) -> Expr:
+    def term(self) -> tuple:
         node = self.factor()
-        while self.peek().kind == "op" and self.peek().value in "*/":
-            op = self.advance().value
-            node = BinOp(op, node, self.factor())
+        while (op := self.tok[0]) == "*" or op == "/":
+            self.tok = next(self.rest)
+            node = (op, node, self.factor())
         return node
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple:
         # unary minus binds just below '^': -p^2 means -(p^2)
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "-":
-            self.advance()
-            return Neg(self.factor())
+        if self.tok[0] == "-":
+            self.tok = next(self.rest)
+            return ("neg", self.factor())
         node = self.atom()
-        if self.peek().kind == "op" and self.peek().value == "^":
-            self.advance()
-            node = Power(node, self.exponent())
+        if self.tok[0] == "^":
+            self.tok = next(self.rest)
+            sign = 1
+            if self.tok[0] == "-":
+                sign = -1
+                self.tok = next(self.rest)
+            kind, value, pos = self.tok
+            if kind != "int":
+                raise ExprSyntaxError("exponent must be an integer", pos)
+            self.tok = next(self.rest)
+            node = ("^", node, sign * int(value))
         return node
 
-    def exponent(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "-":
-            sign = -1
-            self.advance()
-            tok = self.peek()
-        if tok.kind != "int":
-            raise ExprSyntaxError("exponent must be an integer", tok.pos)
-        self.advance()
-        return sign * int(tok.value)
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return Num(int(tok.value))
-        if tok.kind == "name":
-            self.advance()
-            if tok.value in ("p", "q"):
-                return Param(tok.value)
-            if tok.value not in self.pres.by_name:
+    def atom(self) -> tuple:
+        kind, value, pos = self.tok
+        if kind == "name":
+            if value in ("p", "q"):
+                node = ("param", value)
+            elif value in self.pres.by_name:
+                node = ("gen", value)
+            else:
                 raise UnknownGenerator(
-                    f"{tok.value!r} is not a generator of {self.pres.label!r} "
-                    f"(at position {tok.pos})")
-            return Gen(tok.value)
-        if tok.kind == "op" and tok.value == "(":
-            self.advance()
+                    f"{value!r} is not a generator of {self.pres.label!r} "
+                    f"(at position {pos})")
+        elif kind == "int":
+            node = ("num", int(value))
+        elif kind == "(":
+            self.tok = next(self.rest)
             node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(f"unexpected token {tok.value!r}", tok.pos)
+            if self.tok[0] != ")":
+                raise ExprSyntaxError("expected ')'", self.tok[2])
+        else:
+            raise ExprSyntaxError(f"unexpected token {value!r}", pos)
+        self.tok = next(self.rest)
+        return node
 
 
-def parse(text: str, pres: Presentation) -> Expr:
+def parse(text: str, pres: Presentation) -> tuple:
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     return _Parser(tokenize(text), pres).parse()
@@ -234,15 +175,18 @@ def parse(text: str, pres: Presentation) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+#
+# A tree evaluates to a term map (word -> nonzero coefficient), a scalar c
+# to {(): c}; eval_expr wraps the result in a Poly once.
 
 
-def _scalar_of(poly: Poly) -> RatFunc | None:
-    """The coefficient if poly is a pure scalar (multiple of the empty
+def _scalar_of(terms: dict[Word, RatFunc]) -> RatFunc | None:
+    """The coefficient if terms is a pure scalar (a multiple of the empty
     word), else None."""
-    if poly.is_zero:
+    if not terms:
         return RatFunc.zero()
-    if set(poly.terms) == {()}:
-        return poly.terms[()]
+    if len(terms) == 1 and () in terms:
+        return terms[()]
     return None
 
 
@@ -255,58 +199,62 @@ def _hold_length(length: int, pres: Presentation) -> None:
             f"input word of length {length} in {pres.label!r} exceeds the cap {cap}")
 
 
-def _eval(node: Expr, pres: Presentation) -> Poly:
-    if isinstance(node, Num):
-        return Poly.unit(RatFunc.const(node.value))
-    if isinstance(node, Param):
-        return Poly.unit(RatFunc.p() if node.name == "p" else RatFunc.q())
-    if isinstance(node, Gen):
-        return Poly.gen(node.name)
-    if isinstance(node, Neg):
-        return -_eval(node.operand, pres)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, pres)
-        right = _eval(node.right, pres)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            _hold_length(left.max_word_length() + right.max_word_length(), pres)
-            return left * right
+def _longest(terms: dict[Word, RatFunc]) -> int:
+    return max(map(len, terms), default=0)
+
+
+def _eval(node: tuple, pres: Presentation) -> dict[Word, RatFunc]:
+    tag = node[0]
+    if tag == "gen":
+        return {(node[1],): ONE}
+    if tag == "num":
+        return {(): RatFunc.const(node[1])} if node[1] else {}
+    if tag == "param":
+        return {(): P if node[1] == "p" else Q}
+    if tag == "neg":
+        return {w: -c for w, c in _eval(node[1], pres).items()}
+    if tag == "^":
+        return _power(node[1], node[2], pres)
+    left = _eval(node[1], pres)
+    right = _eval(node[2], pres)
+    if tag == "*":
+        _hold_length(_longest(left) + _longest(right), pres)
+        return product_terms(left, right)
+    if tag == "/":
         divisor = _scalar_of(right)
         if divisor is None:
-            raise NegativePowerOfNonInvertible(
-                "division only by scalar coefficients")
-        return left.scale(divisor.inv())
-    if isinstance(node, Power):
-        base = _eval(node.base, pres)
-        n = node.exponent
-        if n >= 0:
-            _hold_length(base.max_word_length() * n, pres)
-            out = Poly.unit()
-            for _ in range(n):
-                out = out * base
-            return out
-        scalar = _scalar_of(base)
-        if scalar is not None:
-            return Poly.unit(scalar ** n)
-        if isinstance(node.base, Gen):
-            inv_name = pres.inverses.get(node.base.name)
-            if inv_name is not None:
-                _hold_length(-n, pres)
-                out = Poly.unit()
-                for _ in range(-n):
-                    out = out * Poly.gen(inv_name)
-                return out
-        raise NegativePowerOfNonInvertible(
-            "negative power needs a scalar or a generator with a declared inverse")
-    raise TypeError(f"unknown node {node!r}")
+            raise NegativePowerOfNonInvertible("division only by scalar coefficients")
+        inverse = divisor.inv()
+        return {w: c * inverse for w, c in left.items()}
+    if tag == "-":
+        right = {w: -c for w, c in right.items()}
+    add_scaled(left, right, ONE)
+    return left
 
 
-def eval_expr(node: Expr, pres: Presentation) -> Poly:
+def _power(base_node: tuple, n: int, pres: Presentation) -> dict[Word, RatFunc]:
+    base = _eval(base_node, pres)
+    if n >= 0:
+        _hold_length(_longest(base) * n, pres)
+        out = {(): ONE}
+        for _ in range(n):
+            out = product_terms(out, base)
+        return out
+    scalar = _scalar_of(base)
+    if scalar is not None:
+        return {(): scalar ** n}
+    if base_node[0] == "gen":
+        inv_name = pres.inverses.get(base_node[1])
+        if inv_name is not None:
+            _hold_length(-n, pres)
+            return {(inv_name,) * -n: ONE}
+    raise NegativePowerOfNonInvertible(
+        "negative power needs a scalar or a generator with a declared inverse")
+
+
+def eval_expr(node: tuple, pres: Presentation) -> Poly:
     """Interpret the tree and return the normal form."""
-    return normal_form(_eval(node, pres), pres)
+    return normal_form(Poly(_eval(node, pres)), pres)
 
 
 def parse_poly(text: str, pres: Presentation) -> Poly:
@@ -316,8 +264,7 @@ def parse_poly(text: str, pres: Presentation) -> Poly:
 def parse_coeff(text: str) -> RatFunc:
     """Parse a pure-coefficient expression (no generators)."""
     scratch = Presentation("coeff", (), ())
-    poly = _eval(parse(text, scratch), scratch)
-    scalar = _scalar_of(poly)
+    scalar = _scalar_of(_eval(parse(text, scratch), scratch))
     if scalar is None:
         raise ExprSyntaxError("expected a pure coefficient", 0)
     return scalar
@@ -357,10 +304,10 @@ def dump_presentation(pres: Presentation) -> str:
 def _is_name(text: str) -> bool:
     """Whether text is exactly one name token of the expression grammar."""
     try:
-        tokens = tokenize(text)
+        kind, value, _ = tokenize(text)[0]
     except ExprSyntaxError:
         return False
-    return tokens[0].kind == "name" and tokens[0].value == text
+    return kind == "name" and value == text
 
 
 def _require_declared(names: list[str], gens: list[tuple[str, int]], lineno: int) -> None:
@@ -424,7 +371,7 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
     skeleton = Presentation(label, tuple(
         Generator(n, p, i) for i, (n, p) in enumerate(gens)), (),
         inverses=inverses, limits=limits)
-    relations = [_eval(parse(t, skeleton), skeleton) for t in relation_texts]
+    relations = [Poly(_eval(parse(t, skeleton), skeleton)) for t in relation_texts]
     pres = build_presentation(label, gens, relations, order=order,
                               negative_weight=negweight, inverses=inverses,
                               limits=limits)

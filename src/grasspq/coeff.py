@@ -14,15 +14,15 @@ integer (the 1/2 of `1/2*alpha`).  `_exact` is the one place that
 decides this, and every operation that makes a coefficient passes its
 non-int results through it.  Floats (and bools) are refused with
 `TypeError`, since a float is not an exact rational.  `Fraction`
-arithmetic over whole expressions happens only in `evaluate`, at
-rational points.
+arithmetic over whole expressions happens only in evaluation (`evaluate`,
+`evaluator`), at rational points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .errors import SingularEvaluation, SingularSpecialization, ZeroInverse
 
@@ -169,8 +169,9 @@ class LaurentPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- structure ---------------------------------------------------------
@@ -198,12 +199,7 @@ class LaurentPoly:
 
     def evaluate(self, p0, q0) -> Fraction:
         """Exact value at the rational point (p0, q0)."""
-        if type(p0) is not Fraction or type(q0) is not Fraction:
-            p0, q0 = Fraction(_exact(p0)), Fraction(_exact(q0))
-        total = Fraction(0)
-        for (a, b), c in self.terms.items():
-            total += c * p0**a * q0**b
-        return total
+        return _value(self, Fraction(_exact(p0)), Fraction(_exact(q0)), {})
 
     # -- printing ---------------------------------------------------------
 
@@ -238,6 +234,19 @@ def _normalized(terms: dict[ExpPair, int | Fraction]) -> LaurentPoly:
     res = LaurentPoly.__new__(LaurentPoly)
     res.terms = terms
     return res
+
+
+def _value(poly: LaurentPoly, p0: Fraction, q0: Fraction,
+           monomials: dict[ExpPair, Fraction]) -> Fraction:
+    """Exact value of poly at (p0, q0); `monomials` holds each p0^a q0^b
+    already computed at this point, keyed by (a, b), and gains the rest."""
+    total = Fraction(0)
+    for e, c in poly.terms.items():
+        m = monomials.get(e)
+        if m is None:
+            m = monomials[e] = p0 ** e[0] * q0 ** e[1]
+        total += c * m
+    return total
 
 
 def _monomial_str(c: int | Fraction, a: int, b: int) -> str:
@@ -396,13 +405,14 @@ class RatFunc:
     def __pow__(self, n: int) -> RatFunc:
         if n < 0:
             return self.inv() ** (-n)
-        out = RatFunc.one()
+        out = ONE  # the unit hands back the other factor
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     # -- evaluation and substitution ----------------------------------------
@@ -413,15 +423,7 @@ class RatFunc:
         Raises SingularEvaluation if either parameter is zero or the
         denominator vanishes there.
         """
-        p0, q0 = Fraction(_exact(p0)), Fraction(_exact(q0))
-        if p0 == 0 or q0 == 0:
-            raise SingularEvaluation("parameters must be nonzero")
-        if self.den is _UNIT:
-            return self.num.evaluate(p0, q0)
-        d = self.den.evaluate(p0, q0)
-        if d == 0:
-            raise SingularEvaluation(f"denominator vanishes at ({p0}, {q0})")
-        return self.num.evaluate(p0, q0) / d
+        return evaluator(p0, q0)(self)
 
     def substitute(self, p_val: RatFunc | None, q_val: RatFunc | None) -> RatFunc:
         """Simultaneously substitute rational functions for p and/or q."""
@@ -450,6 +452,27 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
+
+
+def evaluator(p0, q0) -> Callable[[RatFunc], Fraction]:
+    """Exact evaluation of rational functions at the one point (p0, q0),
+    computing each monomial p0^a q0^b once for all of them.  Raises
+    SingularEvaluation if either parameter is zero; the returned function
+    raises it where a denominator vanishes."""
+    p0, q0 = Fraction(_exact(p0)), Fraction(_exact(q0))
+    if p0 == 0 or q0 == 0:
+        raise SingularEvaluation("parameters must be nonzero")
+    monomials: dict[ExpPair, Fraction] = {}
+
+    def value(f: RatFunc) -> Fraction:
+        if f.den is _UNIT:
+            return _value(f.num, p0, q0, monomials)
+        d = _value(f.den, p0, q0, monomials)
+        if d == 0:
+            raise SingularEvaluation(f"denominator vanishes at ({p0}, {q0})")
+        return _value(f.num, p0, q0, monomials) / d
+
+    return value
 
 
 def _subst_laurent(poly: LaurentPoly, pv: RatFunc, qv: RatFunc) -> RatFunc:

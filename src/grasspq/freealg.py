@@ -107,13 +107,7 @@ class Poly:
 
     def __add__(self, other: Poly) -> Poly:
         out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
+        add_scaled(out, other.terms, ONE)
         res = Poly.__new__(Poly)
         res.terms = out
         return res
@@ -134,21 +128,8 @@ class Poly:
         return res
 
     def __mul__(self, other: Poly) -> Poly:
-        """Free product: bilinear word concatenation, no rewriting and no
-        sign bookkeeping (Koszul signs live in the relations)."""
-        out: dict[Word, RatFunc] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                elif w in out:
-                    del out[w]
         res = Poly.__new__(Poly)
-        res.terms = out
+        res.terms = product_terms(self.terms, other.terms)
         return res
 
     def max_word_length(self) -> int:
@@ -162,6 +143,25 @@ class Poly:
             return "Poly(0)"
         bits = [f"({c})*{'*'.join(w) if w else '1'}" for w, c in sorted(self.terms.items())]
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def product_terms(left: Mapping[Word, RatFunc],
+                  right: Mapping[Word, RatFunc]) -> dict[Word, RatFunc]:
+    """Free product of two term maps: bilinear word concatenation, no
+    rewriting and no sign bookkeeping (Koszul signs live in the
+    relations)."""
+    out: dict[Word, RatFunc] = {}
+    for w1, c1 in left.items():
+        for w2, c2 in right.items():
+            w = w1 + w2
+            c = c1 * c2
+            s = out.get(w)
+            s = c if s is None else s + c
+            if s:
+                out[w] = s
+            elif w in out:
+                del out[w]
+    return out
 
 
 @dataclass(frozen=True)
@@ -312,10 +312,10 @@ def normal_form(poly: Poly, pres: Presentation, *, strategy: str = "leftmost") -
         # word already normal costs one scan and adds no cache entry
         hit = pres.find_reduction(w)
         if hit is None:
-            _add_scaled(result, {w: ONE}, c)
+            add_scaled(result, {w: ONE}, c)
         else:
-            _add_scaled(result, _drive(_fold({w[:hit[0]]: ONE}, w[hit[0]:], pres, fresh),
-                                       pres, fresh), c)
+            add_scaled(result, _drive(_fold({w[:hit[0]]: ONE}, w[hit[0]:], pres, fresh),
+                                      pres, fresh), c)
     # publish only after the whole call succeeded, so a raise leaves no trace
     pres._junctions.update(fresh)
     return Poly(result)
@@ -350,8 +350,8 @@ def _drive(root, pres: Presentation, fresh: Junctions) -> dict[Word, RatFunc]:
         value = None
 
 
-def _add_scaled(acc: dict[Word, RatFunc], terms: Mapping[Word, RatFunc],
-                c: RatFunc) -> None:
+def add_scaled(acc: dict[Word, RatFunc], terms: Mapping[Word, RatFunc],
+               c: RatFunc) -> None:
     """acc += c * terms, dropping words whose coefficients cancel; c and
     the coefficients of terms are nonzero."""
     for w, v in terms.items():
@@ -394,7 +394,7 @@ def _fold(state: dict[Word, RatFunc], letters: Word, pres: Presentation, fresh: 
                 nf = fresh.get((v, x))
                 if nf is None:
                     nf = yield v, x
-            _add_scaled(folded, nf, c)
+            add_scaled(folded, nf, c)
         state = folded
     return state
 
@@ -410,7 +410,7 @@ def _junction(v: Word, x: str, pres: Presentation, fresh: Junctions):
     pos, rule = hit
     nf: dict[Word, RatFunc] = {}
     for nw, rc in _rewrite_at(u, pos, rule, pres):
-        _add_scaled(nf, (yield from _fold({nw[:pos]: ONE}, nw[pos:], pres, fresh)), rc)
+        add_scaled(nf, (yield from _fold({nw[:pos]: ONE}, nw[pos:], pres, fresh)), rc)
     return nf
 
 
@@ -425,13 +425,13 @@ def _worklist_normal_form(poly: Poly, pres: Presentation, strategy: str) -> Poly
         w, c = pending.popitem()
         hit = pres.find_reduction(w, strategy)
         if hit is None:
-            _add_scaled(result, {w: ONE}, c)
+            add_scaled(result, {w: ONE}, c)
             continue
         steps += 1
         if steps > limits.max_steps:
             raise DegreeCapExceeded(
                 f"reduction in {pres.label!r} exceeded {limits.max_steps} steps")
-        _add_scaled(pending, dict(_rewrite_at(w, *hit, pres)), c)
+        add_scaled(pending, dict(_rewrite_at(w, *hit, pres)), c)
     return Poly(result)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .coeff import ONE, P, Q, RatFunc, qnum
+from .coeff import ONE, P, Q, RatFunc, evaluator, qnum
 from .errors import (
     DegreeCapExceeded,
     GeneratorMismatch,
@@ -325,10 +325,10 @@ def _echelon(rows, basis=()):
 
 def _evaluate_rows(rows, point):
     """The rows at (p0, q0), as sparse maps word -> nonzero Fraction."""
-    p0, q0 = point
+    value = evaluator(*point)
     out = []
     for row in rows:
-        values = ((w, c.evaluate(p0, q0)) for w, c in row.items())
+        values = ((w, value(c)) for w, c in row.items())
         out.append({w: v for w, v in values if v})
     return out
 

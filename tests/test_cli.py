@@ -1,17 +1,20 @@
 """Expression parser, canonical printing round-trip, CLI exit codes."""
 
+import contextlib
 import io
 import json
-import contextlib
+import os
+import tempfile
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasspq import matops
 from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.errors import (
+    AlgebraError,
     ExprSyntaxError,
     NegativePowerOfNonInvertible,
     UnknownGenerator,
@@ -110,6 +113,40 @@ def test_parser_totality_no_crashes():
             parse_poly(text, pres)
 
 
+# text -> (error class, position of the fault) or the printed normal form
+PINNED_TOKENS = {
+    "²": (ExprSyntaxError, 0),  # a digit, but not an ASCII one
+    "alpha²": (UnknownGenerator, 0),  # one name: '²' is alphanumeric
+    "x¹": (UnknownGenerator, 0),
+    "٣": (ExprSyntaxError, 0),
+    "alpha^²": (ExprSyntaxError, 6),
+    "ß": (UnknownGenerator, 0),  # a letter, so a name
+    "_x": (UnknownGenerator, 0),
+    "alpha *　beta": "alpha*beta",  # ideographic space
+    "alpha\x1c*beta": "alpha*beta",  # str.isspace() holds for \x1c
+    "alpha⁠*beta": (ExprSyntaxError, 5),  # word joiner: not whitespace
+    "alpha*(beta +": (ExprSyntaxError, 13),
+    "alpha*(beta + ": (ExprSyntaxError, 14),
+    "p^x": (ExprSyntaxError, 2),
+}
+
+
+@pytest.mark.parametrize("text", list(PINNED_TOKENS), ids=ascii)
+def test_token_boundaries_are_pinned(text):
+    pres = preset("gr2")
+    expected = PINNED_TOKENS[text]
+    if isinstance(expected, str):
+        assert format_poly(parse_poly(text, pres), pres) == expected
+        return
+    cls, position = expected
+    with pytest.raises((ExprSyntaxError, UnknownGenerator)) as err:
+        parse_poly(text, pres)
+    assert type(err.value) is cls
+    assert str(err.value).endswith(f"(at position {position})")
+    if cls is ExprSyntaxError:
+        assert err.value.position == position
+
+
 @given(st.text(max_size=24))
 def test_parser_totality_fuzz(text):
     try:
@@ -143,6 +180,93 @@ def test_roundtrip_parse_of_printed_polys(name, rng):
         text = format_poly(poly, pres)
         back = parse_poly(text, pres)
         assert (back - poly).is_zero, text
+
+
+# -- expression-tree oracle -----------------------------------------------------------
+#
+# Random trees are rendered to text and valued with Poly and RatFunc
+# operations alone, so the oracle knows nothing of the parser.  A rendered
+# node carries its precedence level; a child below the level its place
+# needs is put in parentheses.
+
+SUM, PRODUCT, NEG, POWER, ATOM = range(5)
+
+
+def paren(node, level):
+    text, value, prec = node
+    return text if prec >= level else f"({text})"
+
+
+def random_scalar(rng, depth):
+    """(text, nonzero RatFunc, level)."""
+    kind = rng.choice(["int", "param", "binomial"] if depth == 0 else
+                      ["int", "param", "binomial", "product", "quotient", "power"])
+    if kind == "int":
+        n = rng.randint(1, 4)
+        return str(n), RatFunc.const(n), ATOM
+    if kind == "param":
+        return rng.choice([("p", P, ATOM), ("q", Q, ATOM)])
+    if kind == "binomial":
+        return rng.choice([("p + q", P + Q, SUM), ("1 - p*q", ONE - P * Q, SUM),
+                           ("p - q^-1", P - Q**-1, SUM)])
+    a, b = random_scalar(rng, depth - 1), random_scalar(rng, depth - 1)
+    if kind == "product":
+        return f"{paren(a, PRODUCT)}*{paren(b, NEG)}", a[1] * b[1], PRODUCT
+    if kind == "quotient":
+        return f"{paren(a, PRODUCT)}/{paren(b, NEG)}", a[1] / b[1], PRODUCT
+    k = rng.randint(1, 3)
+    return f"{paren(a, ATOM)}^-{k}", a[1] ** -k, POWER
+
+
+def random_tree(rng, pres, depth):
+    """(text, Poly, level) for a random expression over pres."""
+    names = [g.name for g in pres.generators]
+    if depth == 0:
+        roll = rng.random()
+        if roll < 0.5:
+            name = rng.choice(names)
+            return name, Poly.gen(name), ATOM
+        if roll < 0.6:
+            n = rng.randint(0, 5)
+            return str(n), Poly.unit(RatFunc.const(n)), ATOM
+        if roll < 0.7 and pres.inverses:
+            name = rng.choice(sorted(pres.inverses))
+            k = rng.randint(1, 3)
+            return f"{name}^-{k}", Poly.word(*[pres.inverses[name]] * k), POWER
+        text, value, prec = random_scalar(rng, 1)
+        return text, Poly.unit(value), prec
+    kind = rng.choice(["sum", "difference", "product", "product", "negation",
+                       "quotient", "power", "parenthesis"])
+    a = random_tree(rng, pres, depth - 1)
+    if kind == "negation":
+        return f"-{paren(a, NEG)}", -a[1], NEG
+    if kind == "parenthesis":
+        return f"({a[0]})", a[1], ATOM
+    if kind == "quotient":
+        s = random_scalar(rng, 1)
+        return f"{paren(a, PRODUCT)}/{paren(s, NEG)}", a[1].scale(s[1].inv()), PRODUCT
+    if kind == "power":
+        k = rng.randint(0, 2)
+        value = Poly.unit()
+        for _ in range(k):
+            value = value * a[1]
+        return f"{paren(a, ATOM)}^{k}", value, POWER
+    b = random_tree(rng, pres, depth - 1)
+    if kind == "sum":
+        return f"{a[0]} + {paren(b, PRODUCT)}", a[1] + b[1], SUM
+    if kind == "difference":
+        return f"{a[0]} - {paren(b, PRODUCT)}", a[1] - b[1], SUM
+    return f"{paren(a, PRODUCT)}*{paren(b, NEG)}", a[1] * b[1], PRODUCT
+
+
+@pytest.mark.parametrize("name", ["gr2", "gr11", "gr11_localized", "gr11_inverse",
+                                  "plane_p20", "plane_q02", "plane_p11",
+                                  "plane_q11_dual"])
+def test_parsed_trees_equal_their_direct_values(name, rng):
+    pres = preset(name)
+    for _ in range(60):
+        text, value, _ = random_tree(rng, pres, rng.randint(1, 3))
+        assert parse_poly(text, pres) == normal_form(value, pres), text
 
 
 # -- exit codes --------------------------------------------------------------------
@@ -376,6 +500,61 @@ def test_loader_rejects_invalid_or_undeclared_names(text):
 def test_loader_checks_inverse_lines(text, message):
     with pytest.raises(ExprSyntaxError, match=message):
         load_presentation(text)
+
+
+# Preset texts assembled from directive keywords, names (declared,
+# undeclared, reserved, malformed) and expression fragments (mostly valid,
+# some unknown or malformed).  A text declares the first four names, then
+# has at most two other directives and then relations, so that many texts
+# get as far as orienting and completing their relations.
+LOADER_NAMES = ["x", "y", "xi", "xinv", "z", "_a", "ß", "p", "2x", "x*y", "x-"]
+LOADER_FRAGMENTS = ["x", "y", "xi", "x*y", "y*x", "x*x", "xi*xi", "p*x*y", "1", "x^2",
+                    "(x + y)", "-x", "x/2", "q^-1*y*x", "(p - q^-1)*xi*x", "x*xinv",
+                    "x^-1", "x/y", "(x", "z", "²"]
+
+
+def loader_directive():
+    name = st.sampled_from(LOADER_NAMES)
+    declared = st.sampled_from(LOADER_NAMES[:4])
+    return st.one_of(
+        st.builds("inverse {} {}".format, declared, declared),
+        st.lists(name, max_size=3).map(lambda names: " ".join(["inverse"] + names)),
+        st.lists(declared, max_size=2).map(lambda names: " ".join(["negweight"] + names)),
+        st.builds("generator {} {}".format, name, st.sampled_from(["even", "odd", "", "even odd"])),
+        st.sampled_from(["deglex", "invweight", "", "lex"]).map("order {}".format),
+        st.sampled_from(["2", "3", "64", "0", "x", "٣"]).map("maxword {}".format),
+        st.sampled_from(["", "# comment", "frobnicate x", "relation", "generator"]),
+    )
+
+
+def loader_relation():
+    fragment = st.sampled_from(LOADER_FRAGMENTS)
+    return st.builds(
+        lambda first, rest: "relation " + first + "".join(op + f for op, f in rest), fragment,
+        st.lists(st.tuples(st.sampled_from([" + ", " - ", "*"]), fragment), max_size=3))
+
+
+LOADER_TEXTS = st.builds(
+    lambda *parts: "\n".join(line for part in parts for line in part),
+    st.permutations(["generator x even", "generator y even", "generator xi odd",
+                     "generator xinv even"]),
+    st.lists(loader_directive(), max_size=2),
+    st.lists(loader_relation(), max_size=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(LOADER_TEXTS)
+def test_loader_totality_fuzz(text):
+    try:
+        load_presentation(text)
+    except AlgebraError:  # ExprSyntaxError, UnknownGenerator and the like
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.preset")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, _, _ = run_cli("reduce", "--preset-file", path, "1")
+    assert code in (0, 1, 2)
 
 
 def test_loader_rejections_exit_with_usage_code(tmp_path):
