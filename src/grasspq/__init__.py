@@ -21,8 +21,6 @@ from .freealg import (
 )
 from .matops import (
     AlgMatrix,
-    ClosedPowerEntries,
-    RMatrix,
     closed_power,
     delta_left,
     delta_right,
@@ -53,9 +51,9 @@ from .verify import (
 )
 
 __all__ = [
-    "AlgMatrix", "Check", "ClosedPowerEntries", "Generator", "LaurentPoly",
-    "ONE", "P", "Poly", "Presentation", "Q", "RMatrix", "RatFunc",
-    "Report", "RewriteRule", "ZERO", "build_presentation", "closed_power",
+    "AlgMatrix", "Check", "Generator", "LaurentPoly", "ONE", "P", "Poly",
+    "Presentation", "Q", "RatFunc", "Report", "RewriteRule", "ZERO",
+    "build_presentation", "closed_power",
     "delta_left", "delta_right", "derive_relations", "fault_injection_report",
     "format_poly", "free_algebra_on", "generic_gr2",
     "generic_gr11", "generic_gr11_localized", "identity_matrix",

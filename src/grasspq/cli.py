@@ -278,10 +278,10 @@ def parse_coeff(text: str) -> RatFunc:
 #   generator <name> <even|odd>
 #   inverse <generator> <inverse-generator>     (optional: both products must reduce to 1)
 #   order <deglex|invweight>                    (optional)
-#   negweight <name> [<name> ...]               (optional)
+#   negweight <name> [<name> ...]               (optional: only under order invweight)
 #   maxword <n>                                 (optional: word-length cap, default 64)
 #   relation <expression>                       (meaning: expression = 0)
-# '#' starts a comment.
+# '#' starts a comment.  Each of order, negweight and maxword may appear once.
 
 
 def dump_presentation(pres: Presentation) -> str:
@@ -322,6 +322,7 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
     gens: list[tuple[str, int]] = []
     inverses: dict[str, str] = {}
     inverse_lines: dict[str, int] = {}
+    setting_lines: dict[str, int] = {}  # order, negweight, maxword -> line
     order = "deglex"
     negweight: list[str] = []
     limits = ReductionLimits()
@@ -332,6 +333,11 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in ("order", "negweight", "maxword"):
+            if head in setting_lines:
+                raise ExprSyntaxError(f"repeated {head} on line {lineno} "
+                                      f"(first on line {setting_lines[head]})", 0)
+            setting_lines[head] = lineno
         if head == "generator":
             name, _, parity = rest.partition(" ")
             parity = parity.strip()
@@ -368,6 +374,9 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
             relation_texts.append(rest)
         else:
             raise ExprSyntaxError(f"unknown directive {head!r} on line {lineno}", 0)
+    if "negweight" in setting_lines and order != "invweight":
+        raise ExprSyntaxError(f"negweight on line {setting_lines['negweight']} "
+                              f"needs order invweight", 0)
     skeleton = Presentation(label, tuple(
         Generator(n, p, i) for i, (n, p) in enumerate(gens)), (),
         inverses=inverses, limits=limits)
@@ -424,8 +433,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_rmatrix(args) -> int:
-    x = parse_coeff(args.x)
-    print(rhat(x).pretty())
+    cells = [[str(c) for c in row] for row in rhat(parse_coeff(args.x))]
+    width = max(len(c) for row in cells for c in row)
+    for row in cells:
+        print("[ " + "  ".join(c.ljust(width) for c in row) + " ]")
     return 0
 
 
@@ -436,16 +447,14 @@ def _cmd_power(args) -> int:
         return 2
     pres = preset("gr11")
     if args.closed_form:
-        cp = closed_power(n)
-        entries = {"A": cp.A, "B": cp.B, "C": cp.C, "D": cp.D}
+        mat = closed_power(n)
         print(f"exponent {n}; effective parameters "
-              f"(p^{n}, q^{n}) = ({cp.parameters[0]}, {cp.parameters[1]})")
+              f"(p^{n}, q^{n}) = ({P**n}, {Q**n})")
     else:
         check_power_cap(n, pres)
         mat = matrix_power(generic_gr11(pres), n)
-        entries = {"A": mat[0, 0], "B": mat[0, 1], "C": mat[1, 0], "D": mat[1, 1]}
         print(f"exponent {n} (iterated product)")
-    for name, poly in entries.items():
+    for name, poly in zip("ABCD", mat.entries):
         print(f"  {name} = {format_poly(poly, pres)}")
     return 0
 

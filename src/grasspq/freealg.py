@@ -132,9 +132,6 @@ class Poly:
         res.terms = product_terms(self.terms, other.terms)
         return res
 
-    def max_word_length(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(len(w) == degree for w in self.terms)
 
@@ -668,8 +665,7 @@ def build_gr11(pp: RatFunc, qq: RatFunc, label: str = "gr11") -> Presentation:
     return build_presentation(label, [a, d, b, c], _generic_family("diag_odd", pp, qq))
 
 
-def build_gr11_localized(pp: RatFunc, qq: RatFunc,
-                         label: str = "gr11_localized") -> Presentation:
+def build_gr11_localized(pp: RatFunc, qq: RatFunc) -> Presentation:
     a, b, c, d = ENTRY_LAYOUTS["diag_odd"]
     # each inverse sits right next to its partner in the order, so that
     # b*binv / c*cinv pairs become adjacent in normal words and cancel
@@ -695,7 +691,7 @@ def build_gr11_localized(pp: RatFunc, qq: RatFunc,
     ]
     # inverse-cluster words balloon transiently before the nilpotent odd
     # pairs kill them, so this preset gets extra headroom over the default
-    return build_presentation(label, gens, rels,
+    return build_presentation("gr11_localized", gens, rels,
                               order="invweight",
                               negative_weight=("binv", "cinv"),
                               inverses={"b": "binv", "c": "cinv"},

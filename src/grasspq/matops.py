@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -76,10 +75,6 @@ class AlgMatrix:
         return AlgMatrix(self.rows, self.cols,
                          [a + b for a, b in zip(self.entries, other.entries)],
                          self.presentation)
-
-    def scale(self, c: RatFunc) -> AlgMatrix:
-        return AlgMatrix(self.rows, self.cols,
-                         [e.scale(c) for e in self.entries], self.presentation)
 
     def _compatible(self, other: AlgMatrix) -> None:
         if self.presentation.label != other.presentation.label:
@@ -204,42 +199,11 @@ def tensor_graded(a: AlgMatrix, slot: int) -> AlgMatrix:
 # ---------------------------------------------------------------------------
 
 
-class RMatrix:
-    """4x4 matrix of RatFunc scalars in the (ij),(kl) labeling."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Sequence[Sequence[RatFunc]]):
-        if len(entries) != 4 or any(len(r) != 4 for r in entries):
-            raise ShapeMismatch("RMatrix is 4x4")
-        self.entries = tuple(tuple(r) for r in entries)
-
-    def __getitem__(self, idx: tuple[int, int]) -> RatFunc:
-        return self.entries[idx[0]][idx[1]]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RMatrix):
-            return NotImplemented
-        return all(self[i, j] == other[i, j] for i in range(4) for j in range(4))
-
-    __hash__ = None
-
-    def to_alg(self, pres: Presentation) -> AlgMatrix:
-        entries = [Poly.unit(self[i, j]) if self[i, j] else Poly.zero()
-                   for i in range(4) for j in range(4)]
-        return AlgMatrix(4, 4, entries, pres, reduce=False)
-
-    def pretty(self) -> str:
-        cells = [[str(self[i, j]) for j in range(4)] for i in range(4)]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join("[ " + "  ".join(c.ljust(width) for c in row) + " ]"
-                         for row in cells)
-
-
-def rhat(x: RatFunc) -> RMatrix:
-    """The deformation R-matrix, assembled from its rank-one building
-    blocks: (p + q^-1) on the diagonal sectors, 2x(pq^-1)^(i-1) on the
-    mixed diagonal, +-(p - q^-1) on the middle antidiagonal."""
+def rhat(x: RatFunc) -> tuple[tuple[RatFunc, ...], ...]:
+    """The rows of the 4x4 deformation R-matrix in the (ij),(kl) labeling,
+    assembled from its rank-one building blocks: (p + q^-1) on the
+    diagonal sectors, 2x(pq^-1)^(i-1) on the mixed diagonal, +-(p - q^-1)
+    on the middle antidiagonal."""
     zero = RatFunc.zero()
     entries = [[zero for _ in range(4)] for _ in range(4)]
 
@@ -264,7 +228,7 @@ def rhat(x: RatFunc) -> RMatrix:
             r = 2 * i + j
             c = 2 * j + i
             add(r, c, (P - Q**-1) * sign)
-    return RMatrix(entries)
+    return tuple(map(tuple, entries))
 
 
 def rtt_residual(x: RatFunc, a: AlgMatrix, graded: bool) -> AlgMatrix:
@@ -274,7 +238,8 @@ def rtt_residual(x: RatFunc, a: AlgMatrix, graded: bool) -> AlgMatrix:
     embed = tensor_graded if graded else tensor_ungraded
     a1 = embed(a, 1)
     a2 = embed(a, 2)
-    r = rhat(x).to_alg(a.presentation)
+    r = AlgMatrix(4, 4, [Poly.unit(c) if c else Poly.zero()
+                         for row in rhat(x) for c in row], a.presentation, reduce=False)
     left = mat_mul(mat_mul(r, a1), a2)
     right = mat_mul(mat_mul(a2, a1), r)
     return left + right
@@ -453,23 +418,6 @@ def sdet(a: AlgMatrix, form: str = "left") -> Poly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosedPowerEntries:
-    """Entries of the generic supermatrix raised to `exponent`, by the
-    closed formulas; `parameters` is the effective deformation pair
-    (p^exponent, q^exponent)."""
-
-    A: Poly
-    B: Poly
-    C: Poly
-    D: Poly
-    exponent: int
-    parameters: tuple[RatFunc, RatFunc]
-
-    def as_matrix(self, pres: Presentation) -> AlgMatrix:
-        return AlgMatrix(2, 2, [self.A, self.B, self.C, self.D], pres)
-
-
 def _word_power(letters: Word, n: int) -> Poly:
     return Poly({letters * n: ONE})
 
@@ -482,8 +430,9 @@ def check_power_cap(exponent: int, pres: Presentation) -> None:
         raise DegreeCapExceeded(f"power {exponent} of {pres.label!r} is over the cap {cap}")
 
 
-def closed_power(exponent: int) -> ClosedPowerEntries:
-    """Closed form for the exponent-th power of the generic supermatrix.
+def closed_power(exponent: int) -> AlgMatrix:
+    """The exponent-th power of the generic supermatrix over gr11, built
+    from the closed formulas for its entries [[A, B], [C, D]].
 
     Odd exponent 2n-1:
         A = (<n> alpha + p <n-1> delta) (bc)^(n-1)
@@ -505,36 +454,32 @@ def closed_power(exponent: int) -> ClosedPowerEntries:
     pres = preset("gr11")
     check_power_cap(exponent, pres)
     w = Poly.word
-    nf = lambda x: normal_form(x, pres)
     t = P * Q
     t2 = t * t
-    params = (P**exponent, Q**exponent)
     if exponent % 2:
         n = (exponent + 1) // 2
         if n == 1:
-            return ClosedPowerEntries(*generic_matrix("diag_odd", pres).entries, 1, params)
+            return generic_matrix("diag_odd", pres)
         a_head = Poly.gen("alpha", qnum(n, t)) + Poly.gen("delta", P * qnum(n - 1, t))
         b_head = w("b", "c") + w("alpha", "delta", coeff=P * qnum(n - 1, t2))
         c_head = w("c", "b") + w("delta", "alpha", coeff=Q * qnum(n - 1, t2))
         d_head = Poly.gen("delta", qnum(n, t)) + Poly.gen("alpha", Q * qnum(n - 1, t))
-        return ClosedPowerEntries(
-            A=nf(a_head * _word_power(("b", "c"), n - 1)),
-            B=nf(b_head * _word_power(("b", "c"), n - 2) * w("b")),
-            C=nf(c_head * _word_power(("c", "b"), n - 2) * w("c")),
-            D=nf(d_head * _word_power(("c", "b"), n - 1)),
-            exponent=exponent, parameters=params)
+        return AlgMatrix(2, 2, [
+            a_head * _word_power(("b", "c"), n - 1),
+            b_head * _word_power(("b", "c"), n - 2) * w("b"),
+            c_head * _word_power(("c", "b"), n - 2) * w("c"),
+            d_head * _word_power(("c", "b"), n - 1)], pres)
     n = exponent // 2
     ratio = (ONE - t) / (ONE + t) * qnum(n, t) * qnum(n - 1, t)
     a_head = w("b", "c") + w("alpha", "delta", coeff=P * ratio)
     b_head = (Poly.gen("alpha") + Poly.gen("delta", P)).scale(qnum(n, t))
     c_head = (Poly.gen("delta") + Poly.gen("alpha", Q)).scale(qnum(n, t))
     d_head = w("c", "b") + w("delta", "alpha", coeff=Q * ratio)
-    return ClosedPowerEntries(
-        A=nf(a_head * _word_power(("b", "c"), n - 1)),
-        B=nf(b_head * _word_power(("b", "c"), n - 1) * w("b")),
-        C=nf(c_head * _word_power(("c", "b"), n - 1) * w("c")),
-        D=nf(d_head * _word_power(("c", "b"), n - 1)),
-        exponent=exponent, parameters=params)
+    return AlgMatrix(2, 2, [
+        a_head * _word_power(("b", "c"), n - 1),
+        b_head * _word_power(("b", "c"), n - 1) * w("b"),
+        c_head * _word_power(("c", "b"), n - 1) * w("c"),
+        d_head * _word_power(("c", "b"), n - 1)], pres)
 
 
 def power_relations_check(exponent: int) -> Report:
@@ -551,7 +496,7 @@ def power_relations_check(exponent: int) -> Report:
         kind, ref = ("diag_even", "even power is an even-diagonal supermatrix "
                      "at the squared parameters")
     report = Report(suite=f"power_relations:{exponent}")
-    for label, expr in family(kind, (cp.A, cp.B, cp.C, cp.D), *cp.parameters):
+    for label, expr in family(kind, cp.entries, P**exponent, Q**exponent):
         report.add(residual_check(f"e{exponent}:{label}", normal_form(expr, pres), pres, ref))
     report.finish()
     return report

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 @dataclass
 class Check:
     name: str
-    status: str  # pass | fail | skipped
+    status: str  # pass | fail
     residual: str | None = None
     paper_ref: str | None = None  # the identity being checked, spelled out
 
@@ -61,7 +61,7 @@ class Report:
                  f" ({len(self.checks)} checks, {self.elapsed_ms:.1f} ms"
                  + (f", seed={self.seed}" if self.seed is not None else "") + ")"]
         for c in self.checks:
-            mark = {"pass": "ok  ", "fail": "FAIL", "skipped": "skip"}[c.status]
+            mark = {"pass": "ok  ", "fail": "FAIL"}[c.status]
             line = f"  [{mark}] {c.name}"
             if c.paper_ref:
                 line += f"  -- {c.paper_ref}"

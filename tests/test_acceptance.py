@@ -197,10 +197,10 @@ def test_criterion_08_powers():
         for e in range(1, 7):
             acc = m if acc is None else mat_mul(acc, m)
             cp = closed_power(e)
-            assert (cp.A - acc[0, 0]).is_zero, e
-            assert (cp.B - acc[0, 1]).is_zero, e
-            assert (cp.C - acc[1, 0]).is_zero, e
-            assert (cp.D - acc[1, 1]).is_zero, e
+            assert (cp[0, 0] - acc[0, 0]).is_zero, e
+            assert (cp[0, 1] - acc[0, 1]).is_zero, e
+            assert (cp[1, 0] - acc[1, 0]).is_zero, e
+            assert (cp[1, 1] - acc[1, 1]).is_zero, e
             assert power_relations_check(e).passed, e
 
 

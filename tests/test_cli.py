@@ -320,6 +320,46 @@ def test_rmatrix_layout():
     assert "2" in rows[1]
 
 
+_POWER5 = """\
+  A = (p*q^2 + q)*delta*b^2*c^2 + (p*q^3 + q^2 + p^-1*q)*alpha*b^2*c^2
+  B = p^-3*q^3*b^3*c^2 + (p^3*q^4 + p^2*q^3)*alpha*delta*b^2*c
+  C = p^-3*q^3*b^2*c^3 + (-p^-1*q^2 - p^-2*q)*alpha*delta*b*c^2
+  D = (p^-1*q^5 + p^-2*q^4 + p^-3*q^3)*delta*b^2*c^2 + (p^-2*q^5 + p^-3*q^4)*alpha*b^2*c^2
+"""
+
+
+# the whole stdout of rmatrix and power, byte for byte: padding, header, entry lines
+_PINNED_STDOUT = {
+    "rmatrix --x -1":
+        "[ p + q^-1   0          0          0         ]\n"
+        "[ 0          -2         -p + q^-1  0         ]\n"
+        "[ 0          p - q^-1   -2*p*q^-1  0         ]\n"
+        "[ 0          0          0          p + q^-1  ]\n",
+    "rmatrix --x p*q":
+        "[ p + q^-1   0          0          0         ]\n"
+        "[ 0          2*p*q      -p + q^-1  0         ]\n"
+        "[ 0          p - q^-1   2*p^2      0         ]\n"
+        "[ 0          0          0          p + q^-1  ]\n",
+    "power --n 5 --closed-form":
+        "exponent 5; effective parameters (p^5, q^5) = (p^5, q^5)\n" + _POWER5,
+    "power --n 6 --closed-form":
+        "exponent 6; effective parameters (p^6, q^6) = (p^6, q^6)\n"
+        "  A = p^-3*q^3*b^3*c^3\n"
+        "  B = (q^5 + p^-1*q^4 + p^-2*q^3)*delta*b^3*c^2"
+        " + (p^-1*q^5 + p^-2*q^4 + p^-3*q^3)*alpha*b^3*c^2\n"
+        "  C = (p^-1*q^5 + p^-2*q^4 + p^-3*q^3)*delta*b^2*c^3"
+        " + (p^-1*q^6 + p^-2*q^5 + p^-3*q^4)*alpha*b^2*c^3\n"
+        "  D = p^-6*q^6*b^3*c^3 + (p*q^8 + q^7 + p^-1*q^6 - p^-2*q^5 - p^-3*q^4"
+        " - p^-4*q^3)*alpha*delta*b^2*c^2\n",
+    "power --n 5": "exponent 5 (iterated product)\n" + _POWER5,
+}
+
+
+@pytest.mark.parametrize("command", list(_PINNED_STDOUT))
+def test_rmatrix_and_power_print_pinned_text(command):
+    assert run_cli(*command.split()) == (0, _PINNED_STDOUT[command], "")
+
+
 def test_power_closed_and_iterated_agree():
     _, closed, _ = run_cli("power", "--n", "4", "--closed-form")
     _, iterated, _ = run_cli("power", "--n", "4")
@@ -498,6 +538,24 @@ def test_loader_rejects_invalid_or_undeclared_names(text):
      "repeated inverse for 'x' on line 4"),
 ])
 def test_loader_checks_inverse_lines(text, message):
+    with pytest.raises(ExprSyntaxError, match=message):
+        load_presentation(text)
+
+
+@pytest.mark.parametrize("text,message", [
+    # a second setting line would silently replace the first
+    ("generator x even\norder deglex\norder invweight\nrelation x*x\n",
+     r"repeated order on line 3 \(first on line 2\)"),
+    ("generator x even\ngenerator y even\norder invweight\nnegweight x\nnegweight y\n"
+     "relation x*y - y*x\n",
+     r"repeated negweight on line 5 \(first on line 4\)"),
+    ("generator x even\nmaxword 8\nmaxword 20\nrelation x*x\n",
+     r"repeated maxword on line 3 \(first on line 2\)"),
+    # deglex never reads the weights
+    ("generator x even\ngenerator y even\nnegweight y\nrelation x*y - y*x\n",
+     "negweight on line 3 needs order invweight"),
+])
+def test_loader_rejects_repeated_or_unread_settings(text, message):
     with pytest.raises(ExprSyntaxError, match=message):
         load_presentation(text)
 

@@ -19,7 +19,6 @@ from grasspq.freealg import (
 )
 from grasspq.matops import (
     AlgMatrix,
-    RMatrix,
     delta_left,
     delta_right,
     generic_gr2,
@@ -159,28 +158,28 @@ def test_tensor_rejects_wrong_shape(gr2):
 
 def test_rhat_explicit_layout():
     z = zero_rf
-    expected = RMatrix([
-        [P + Q**-1, z, z, z],
-        [z, two, Q**-1 - P, z],
-        [z, P - Q**-1, two * P * Q**-1, z],
-        [z, z, z, P + Q**-1]])
+    expected = (
+        (P + Q**-1, z, z, z),
+        (z, two, Q**-1 - P, z),
+        (z, P - Q**-1, two * P * Q**-1, z),
+        (z, z, z, P + Q**-1))
     assert rhat(one) == expected
 
 
 def test_rhat_at_minus_one():
     z = zero_rf
-    expected = RMatrix([
-        [P + Q**-1, z, z, z],
-        [z, -two, Q**-1 - P, z],
-        [z, P - Q**-1, -(two * P * Q**-1), z],
-        [z, z, z, P + Q**-1]])
+    expected = (
+        (P + Q**-1, z, z, z),
+        (z, -two, Q**-1 - P, z),
+        (z, P - Q**-1, -(two * P * Q**-1), z),
+        (z, z, z, P + Q**-1))
     assert rhat(-one) == expected
 
 
 def test_rhat_at_zero_middle_diagonal():
     r = rhat(zero_rf)
-    assert r[1, 1].is_zero and r[2, 2].is_zero
-    assert r[0, 0] == P + Q**-1
+    assert r[1][1].is_zero and r[2][2].is_zero
+    assert r[0][0] == P + Q**-1
 
 
 # -- RTT -----------------------------------------------------------------------------
