@@ -13,9 +13,9 @@ Every integral coefficient of a Laurent polynomial is stored as an
 integer (the 1/2 of `1/2*alpha`).  `_exact` is the one place that
 decides this, and every operation that makes a coefficient passes its
 non-int results through it.  Floats (and bools) are refused with
-`TypeError`, since a float is not an exact rational.  `Fraction`
-arithmetic over whole expressions happens only in evaluation (`evaluate`,
-`evaluator`), at rational points.
+`TypeError`, since a float is not an exact rational.  Evaluation at a
+rational point (`evaluate`, `evaluator`) sums integer (numerator,
+denominator) pairs and builds one `Fraction` per value.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ class LaurentPoly:
 
     def evaluate(self, p0, q0) -> Fraction:
         """Exact value at the rational point (p0, q0)."""
-        return _value(self, Fraction(_exact(p0)), Fraction(_exact(q0)), {})
+        return Fraction(*_value(self, Fraction(_exact(p0)), Fraction(_exact(q0)), {}))
 
     # -- printing ---------------------------------------------------------
 
@@ -237,16 +237,40 @@ def _normalized(terms: dict[ExpPair, int | Fraction]) -> LaurentPoly:
 
 
 def _value(poly: LaurentPoly, p0: Fraction, q0: Fraction,
-           monomials: dict[ExpPair, Fraction]) -> Fraction:
-    """Exact value of poly at (p0, q0); `monomials` holds each p0^a q0^b
-    already computed at this point, keyed by (a, b), and gains the rest."""
-    total = Fraction(0)
+           monomials: dict[ExpPair, tuple[int, int]]) -> tuple[int, int]:
+    """Exact value of poly at (p0, q0) as an integer pair (numerator,
+    denominator), not in lowest terms, with a positive denominator.
+    `monomials` holds each p0^a q0^b already computed at this point as
+    such a pair, keyed by (a, b), and gains the rest."""
+    num, den = 0, 1
     for e, c in poly.terms.items():
         m = monomials.get(e)
         if m is None:
-            m = monomials[e] = p0 ** e[0] * q0 ** e[1]
-        total += c * m
-    return total
+            m = monomials[e] = _monomial_pair(p0, q0, *e)
+        if type(c) is int:
+            tn, td = c * m[0], m[1]
+        else:
+            tn, td = c.numerator * m[0], c.denominator * m[1]
+        if td == den:
+            num += tn
+        else:
+            g = gcd(den, td)
+            num = num * (td // g) + tn * (den // g)
+            den = den // g * td
+    return num, den
+
+
+def _monomial_pair(p0: Fraction, q0: Fraction, a: int, b: int) -> tuple[int, int]:
+    """p0^a q0^b as an integer pair (numerator, positive denominator)."""
+    num = den = 1
+    for x, k in ((p0, a), (q0, b)):
+        if k >= 0:
+            num *= x.numerator ** k
+            den *= x.denominator ** k
+        else:
+            num *= x.denominator ** -k
+            den *= x.numerator ** -k
+    return (-num, -den) if den < 0 else (num, den)
 
 
 def _monomial_str(c: int | Fraction, a: int, b: int) -> str:
@@ -462,15 +486,16 @@ def evaluator(p0, q0) -> Callable[[RatFunc], Fraction]:
     p0, q0 = Fraction(_exact(p0)), Fraction(_exact(q0))
     if p0 == 0 or q0 == 0:
         raise SingularEvaluation("parameters must be nonzero")
-    monomials: dict[ExpPair, Fraction] = {}
+    monomials: dict[ExpPair, tuple[int, int]] = {}
 
     def value(f: RatFunc) -> Fraction:
+        n, nd = _value(f.num, p0, q0, monomials)
         if f.den is _UNIT:
-            return _value(f.num, p0, q0, monomials)
-        d = _value(f.den, p0, q0, monomials)
+            return Fraction(n, nd)
+        d, dd = _value(f.den, p0, q0, monomials)
         if d == 0:
             raise SingularEvaluation(f"denominator vanishes at ({p0}, {q0})")
-        return _value(f.num, p0, q0, monomials) / d
+        return Fraction(n * dd, nd * d)
 
     return value
 

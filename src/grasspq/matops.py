@@ -22,10 +22,12 @@ from .freealg import (
     Poly,
     Presentation,
     Word,
+    add_scaled,
     family,
     format_poly,
     normal_form,
     preset,
+    product_terms,
     residual_check,
 )
 from .reporting import Check, Report
@@ -172,8 +174,11 @@ def tensor_ungraded(a: AlgMatrix, slot: int) -> AlgMatrix:
     return AlgMatrix(4, 4, entries, a.presentation, reduce=False)
 
 
-# Tensor-leg parity: index 1 even, index 2 odd.
-_IDX_PARITY = (0, 1)
+def _slot2_sign(i: int, j: int, l: int) -> int:
+    """The sign of the (ij),(il) entry of the graded slot-2 embedding:
+    -(-1)^(par(i)*(par(j)+par(l))).  Tensor leg 1 is even and leg 2 odd,
+    so a 0-based index is its own parity."""
+    return 1 if i * (j + l) % 2 else -1
 
 
 def tensor_graded(a: AlgMatrix, slot: int) -> AlgMatrix:
@@ -181,15 +186,16 @@ def tensor_graded(a: AlgMatrix, slot: int) -> AlgMatrix:
     sign factors.
 
     Slot 1 carries no surviving signs.  Slot 2 multiplies the (ij),(kl)
-    entry by -(-1)^(par(i)*(par(j)+par(l))); the overall minus is fixed by
-    the explicit 4x4 form of the graded embedding (it cancels in the RTT
-    relation, where the slot-2 factor appears once on each side).
+    entry by `_slot2_sign(i, j, l)`.  Its overall minus is fixed by the
+    explicit 4x4 form of the graded embedding; the slot-2 factor appears
+    once on each side of the RTT relation, so the minus flips the sign of
+    the whole residual and never decides whether it vanishes.
     """
     ungraded = tensor_ungraded(a, slot)
     if slot == 1:
         return ungraded
     indices = itertools.product(range(2), repeat=4)  # i, j, k, l in entry order
-    entries = [e if _IDX_PARITY[i] * (_IDX_PARITY[j] + _IDX_PARITY[l]) % 2 else -e
+    entries = [e if _slot2_sign(i, j, l) > 0 else -e
                for (i, j, _, l), e in zip(indices, ungraded.entries)]
     return AlgMatrix(4, 4, entries, a.presentation, reduce=False)
 
@@ -233,16 +239,32 @@ def rhat(x: RatFunc) -> tuple[tuple[RatFunc, ...], ...]:
 
 def rtt_residual(x: RatFunc, a: AlgMatrix, graded: bool) -> AlgMatrix:
     """R(x)*A1*A2 + A2*A1*R(x) with the tensor legs built graded or
-    ungraded; the zero matrix iff the sign-twisted RTT relation holds."""
+    ungraded; the zero matrix iff the sign-twisted RTT relation holds.
+
+    (A (x) 1)(1 (x) A) = A (x) A, so no matrix product is formed: with s
+    the slot-2 sign (1 when ungraded),
+        (A1*A2)[(ij),(kl)] = s(k, j, l) a_ik a_jl,
+        (A2*A1)[(ij),(kl)] = s(i, j, l) a_jl a_ik,
+    and each residual entry combines a few of these products with the
+    sparse rows of R(x) and is reduced once."""
     _check_2x2(a)
-    embed = tensor_graded if graded else tensor_ungraded
-    a1 = embed(a, 1)
-    a2 = embed(a, 2)
-    r = AlgMatrix(4, 4, [Poly.unit(c) if c else Poly.zero()
-                         for row in rhat(x) for c in row], a.presentation, reduce=False)
-    left = mat_mul(mat_mul(r, a1), a2)
-    right = mat_mul(mat_mul(a2, a1), r)
-    return left + right
+    sign = _slot2_sign if graded else lambda i, j, l: 1
+    a12 = {}
+    a21 = {}
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        a12[2 * i + j, 2 * k + l] = sign(k, j, l), product_terms(a[i, k].terms, a[j, l].terms)
+        a21[2 * i + j, 2 * k + l] = sign(i, j, l), product_terms(a[j, l].terms, a[i, k].terms)
+    r = rhat(x)
+    entries = []
+    for row, col in itertools.product(range(4), repeat=2):
+        acc: dict[Word, RatFunc] = {}
+        left = ((r[row][t], a12[t, col]) for t in range(4))
+        right = ((r[t][col], a21[row, t]) for t in range(4))
+        for c, (s, terms) in itertools.chain(left, right):
+            if c:
+                add_scaled(acc, terms, c if s > 0 else -c)
+        entries.append(Poly(acc))
+    return AlgMatrix(4, 4, entries, a.presentation)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from grasspq.cli import parse_coeff, parse_poly
-from grasspq.coeff import LaurentPoly, ONE, P, Q, RatFunc, ZERO, qnum
+from grasspq.coeff import LaurentPoly, ONE, P, Q, RatFunc, ZERO, evaluator, qnum
 from grasspq.errors import SingularEvaluation, ZeroInverse
 from grasspq.freealg import preset
 
@@ -139,6 +139,45 @@ def test_eval_is_homomorphism(rng):
             break
         assert ab == av * bv
         assert s == av + bv
+
+
+def _fraction_sum(poly, p0, q0):
+    return sum((Fraction(c) * p0**a * q0**b for (a, b), c in poly.terms.items()), Fraction(0))
+
+
+def test_evaluator_matches_a_direct_fraction_sum(rng):
+    # one evaluator per point serves many functions, so its monomial
+    # cache is shared; the points include negative and fractional values
+    for _ in range(12):
+        p0 = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        q0 = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+        value = evaluator(p0, q0)
+        for _ in range(25):
+            f = random_ratfunc(rng)
+            den = _fraction_sum(f.den, p0, q0)
+            if den == 0:
+                with pytest.raises(SingularEvaluation):
+                    value(f)
+                continue
+            want = _fraction_sum(f.num, p0, q0) / den
+            assert value(f) == want
+            assert f.evaluate(p0, q0) == want
+            assert f.num.evaluate(p0, q0) == _fraction_sum(f.num, p0, q0)
+
+
+def test_evaluator_raises_where_a_denominator_vanishes():
+    value = evaluator(2, Fraction(1, 2))
+    assert value(P + Q**-1) == 4
+    with pytest.raises(SingularEvaluation):
+        value(one / (one - P * Q))
+    with pytest.raises(SingularEvaluation):
+        value(RatFunc(LaurentPoly.const(1), (P - Q * RatFunc.const(4)).num))
+
+
+@pytest.mark.parametrize("point", [(0, 3), (2, 0), (0, 0), (Fraction(0), Fraction(1, 2))])
+def test_evaluator_rejects_a_zero_parameter(point):
+    with pytest.raises(SingularEvaluation):
+        evaluator(*point)
 
 
 # -- deformed integers ---------------------------------------------------------

@@ -39,6 +39,7 @@ from grasspq.matops import (
     tensor_ungraded,
 )
 from grasspq.matops import _echelon
+from grasspq.verify import MUTATIONS, mutate_preset
 
 w = Poly.word
 g = Poly.gen
@@ -209,6 +210,51 @@ def test_rtt_completeness_gr11(gr11):
     residual = rtt_residual(-one, generic_gr11(free), graded=True)
     entries = [e for e in residual.entries if not e.is_zero]
     assert span_equal(entries, gr11.relation_polys(), label="gr11").passed
+
+
+def _rtt_residual_by_products(x, a, graded):
+    """R*A1*A2 + A2*A1*R from the explicit 4x4 embeddings and four
+    matrix products: the reference for `rtt_residual`."""
+    embed = tensor_graded if graded else tensor_ungraded
+    a1, a2 = embed(a, 1), embed(a, 2)
+    r = AlgMatrix(4, 4, [Poly.unit(c) if c else Poly.zero() for row in rhat(x) for c in row],
+                  a.presentation, reduce=False)
+    return mat_mul(mat_mul(r, a1), a2) + mat_mul(mat_mul(a2, a1), r)
+
+
+def _assert_same_residual(x, a, graded):
+    got = rtt_residual(x, a, graded)
+    want = _rtt_residual_by_products(x, a, graded)
+    pres = a.presentation
+    for g_entry, w_entry in zip(got.entries, want.entries, strict=True):
+        assert g_entry == w_entry
+        assert format_poly(g_entry, pres) == format_poly(w_entry, pres)
+
+
+RTT_POINTS = (one, -one, P * Q**-1)
+
+
+@pytest.mark.parametrize("name", ["gr2", "gr11"])
+@pytest.mark.parametrize("free", [False, True], ids=["preset", "free"])
+@pytest.mark.parametrize("graded", [False, True], ids=["ungraded", "graded"])
+def test_rtt_residual_equals_the_matrix_products(name, free, graded):
+    pres = preset(name)
+    if free:
+        pres = free_algebra_on(pres)
+    a = generic_matrix("all_odd" if name == "gr2" else "diag_odd", pres)
+    for x in RTT_POINTS:
+        _assert_same_residual(x, a, graded)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.name)
+def test_rtt_residual_equals_the_matrix_products_on_mutated_presets(mutation):
+    # the mutated presets are not confluent; both sides still reduce the
+    # same words, so they agree entry by entry
+    pres = mutate_preset(mutation)
+    a = generic_matrix("all_odd" if mutation.preset_name == "gr2" else "diag_odd", pres)
+    for graded in (False, True):
+        for x in RTT_POINTS:
+            _assert_same_residual(x, a, graded)
 
 
 # -- span comparison -------------------------------------------------------------------

@@ -47,6 +47,12 @@ def test_suite_powers_passes(powers_report):
     assert powers_report.passed, powers_report.to_text()
 
 
+def test_suite_powers_passes_up_to_exponent_32():
+    report = suite_powers(16)
+    assert report.passed, report.to_text()
+    assert "closed_vs_iterated_e32" in {c.name for c in report.checks}
+
+
 def test_suite_all_is_the_conjunction(gr2_report, gr11_report, powers_report):
     combined = suite_all(3)
     assert combined.passed
