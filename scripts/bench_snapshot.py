@@ -2,12 +2,11 @@
 """Write a performance snapshot of one grasspq checkout as BENCH_<n>.json.
 
     python3 scripts/bench_snapshot.py --out BENCH_11.json [--root DIR]
-                                      [--repeats 5] [--seconds 20]
 
 Uses only the standard library and the checkout's own benchmark:
 
-- end to end: `perfbench/run.py --trace 0` runs REPEATS times per
-  workload, the workloads alternating and the first of each repeat
+- end to end: `perfbench/run.py --trace 0` runs of SECONDS each, REPEATS
+  times per workload, the workloads alternating and the first of each repeat
   swapping, at the benchmark's default seed (so every run is also judged
   against the golden digest); each metric gets its median, quartiles and
   the value of every run;
@@ -33,6 +32,9 @@ import sys
 from time import perf_counter
 
 WORKLOADS = ("suites", "requests")
+# Fixed, so that every BENCH_<n>.json is measured alike and comparable.
+REPEATS = 5
+SECONDS = 20
 CLI_COMMANDS = {
     "cold_start_reduce": ["reduce", "--preset", "gr2", "alpha*beta"],
     "verify_suite_all": ["verify", "--suite", "all"],
@@ -40,10 +42,10 @@ CLI_COMMANDS = {
 }
 
 
-def bench_run(root: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def bench_run(root: str, workload: str, seed: int, trace: int) -> dict:
     """One perfbench/run.py run; its closing JSON line."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
@@ -55,16 +57,15 @@ def bench_run(root: str, workload: str, seed: int, seconds: int, trace: int) -> 
 
 def summary(values: list[float]) -> dict:
     """Median and quartiles (inclusive method) of the runs, and the runs."""
-    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def cli_wall_s(root: str, args: list[str], repeats: int) -> dict:
+def cli_wall_s(root: str, args: list[str]) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     cmd = [sys.executable, "-m", "grasspq.cli", *args]
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = perf_counter()
         subprocess.run(cmd, cwd=root, env=env, check=True, stdout=subprocess.DEVNULL)
         times.append(perf_counter() - t0)
@@ -80,17 +81,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
     ap.add_argument("--root", default=os.getcwd(), help="the grasspq checkout to measure")
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--seconds", type=int, default=20, help="length of each run.py run")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "perfbench", "record.json")) as fh:
         seed = json.load(fh)["default_seed"]
 
     runs: dict[str, list[dict]] = {w: [] for w in WORKLOADS}
-    for i in range(args.repeats):
+    for i in range(REPEATS):
         for workload in (WORKLOADS if i % 2 == 0 else WORKLOADS[::-1]):
-            runs[workload].append(bench_run(root, workload, seed, args.seconds, 0))
+            runs[workload].append(bench_run(root, workload, seed, 0))
     end_to_end = {}
     for workload, results in runs.items():
         rows = {name: dict(summary([r["metrics"][name]["value"] for r in results]),
@@ -101,7 +100,7 @@ def main(argv=None) -> int:
             "failed": sum(r["failed"] for r in results),
             "metrics": rows,
         }
-    per_layer = {workload: bench_run(root, workload, seed, args.seconds, 1)["metrics"]
+    per_layer = {workload: bench_run(root, workload, seed, 1)["metrics"]
                  for workload in WORKLOADS}
 
     snapshot = {
@@ -110,11 +109,11 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "machine": platform.machine(),
                     "cpu_count": os.cpu_count()},
-        "settings": {"repeats": args.repeats, "seconds": args.seconds, "seed": seed,
+        "settings": {"repeats": REPEATS, "seconds": SECONDS, "seed": seed,
                      "order": "workloads alternate, the first swapping every repeat"},
         "end_to_end": end_to_end,
         "per_layer": per_layer,
-        "cli_wall_s": {name: cli_wall_s(root, cmd, args.repeats)
+        "cli_wall_s": {name: cli_wall_s(root, cmd)
                        for name, cmd in CLI_COMMANDS.items()},
     }
     with open(args.out, "w") as fh:

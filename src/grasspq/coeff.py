@@ -247,16 +247,10 @@ def _value(poly: LaurentPoly, p0: Fraction, q0: Fraction,
         m = monomials.get(e)
         if m is None:
             m = monomials[e] = _monomial_pair(p0, q0, *e)
-        if type(c) is int:
-            tn, td = c * m[0], m[1]
-        else:
-            tn, td = c.numerator * m[0], c.denominator * m[1]
-        if td == den:
-            num += tn
-        else:
-            g = gcd(den, td)
-            num = num * (td // g) + tn * (den // g)
-            den = den // g * td
+        tn, td = c.numerator * m[0], c.denominator * m[1]
+        g = gcd(den, td)
+        num = num * (td // g) + tn * (den // g)
+        den = den // g * td
     return num, den
 
 

@@ -249,18 +249,21 @@ def rtt_residual(x: RatFunc, a: AlgMatrix, graded: bool) -> AlgMatrix:
     sparse rows of R(x) and is reduced once."""
     _check_2x2(a)
     sign = _slot2_sign if graded else lambda i, j, l: 1
-    a12 = {}
-    a21 = {}
-    for i, j, k, l in itertools.product(range(2), repeat=4):
-        a12[2 * i + j, 2 * k + l] = sign(k, j, l), product_terms(a[i, k].terms, a[j, l].terms)
-        a21[2 * i + j, 2 * k + l] = sign(i, j, l), product_terms(a[j, l].terms, a[i, k].terms)
+    # prods[(ij), (kl)] = a_ik a_jl, so a_jl a_ik = prods[(ji), (lk)]
+    prods = {(2 * i + j, 2 * k + l): product_terms(a[i, k].terms, a[j, l].terms)
+             for i, j, k, l in itertools.product(range(2), repeat=4)}
     r = rhat(x)
+    pairs = tuple(itertools.product(range(2), repeat=2))
     entries = []
-    for row, col in itertools.product(range(4), repeat=2):
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        row, col = 2 * i + j, 2 * k + l
+        # R[row, (mn)] (A1*A2)[(mn), col], then (A2*A1)[row, (mn)] R[(mn), col]
+        left = ((r[row][2 * m + n], sign(k, n, l), prods[2 * m + n, col])
+                for m, n in pairs)
+        right = ((r[2 * m + n][col], sign(i, j, n), prods[2 * j + i, 2 * n + m])
+                 for m, n in pairs)
         acc: dict[Word, RatFunc] = {}
-        left = ((r[row][t], a12[t, col]) for t in range(4))
-        right = ((r[t][col], a21[row, t]) for t in range(4))
-        for c, (s, terms) in itertools.chain(left, right):
+        for c, s, terms in itertools.chain(left, right):
             if c:
                 add_scaled(acc, terms, c if s > 0 else -c)
         entries.append(Poly(acc))
