@@ -11,7 +11,8 @@ Uses only the standard library and the checkout's own benchmark:
   against the golden digest); each metric gets its median, quartiles and
   the value of every run;
 - per layer: the rows of one `perfbench/run.py --trace 1` run per workload;
-- CLI wall time, REPEATS fresh processes each: a cold `reduce`,
+- CLI wall time, REPEATS fresh processes each: a cold `reduce` on `gr2`
+  and on `gr11_localized` (which pays that preset's completion),
   `verify --suite all` and `power --n 64 --closed-form`;
 - the Python version, the machine, and the commit (with a flag when the
   tree has uncommitted changes).
@@ -37,6 +38,8 @@ REPEATS = 5
 SECONDS = 20
 CLI_COMMANDS = {
     "cold_start_reduce": ["reduce", "--preset", "gr2", "alpha*beta"],
+    # builds gr11_localized, so it pays that preset's completion
+    "cold_start_reduce_localized": ["reduce", "--preset", "gr11_localized", "b*binv"],
     "verify_suite_all": ["verify", "--suite", "all"],
     "power_64_closed_form": ["power", "--n", "64", "--closed-form"],
 }

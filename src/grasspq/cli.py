@@ -23,11 +23,9 @@ on generators with a declared inverse.
 
 from __future__ import annotations
 
-import argparse
+import os
 import re
 import sys
-from importlib import resources
-from pathlib import Path
 
 from .coeff import ONE, P, Q, RatFunc
 from .errors import (
@@ -393,12 +391,16 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
     return pres
 
 
-def load_presentation_file(path: str | Path) -> Presentation:
+def load_presentation_file(path: str | os.PathLike) -> Presentation:
+    from pathlib import Path
+
     path = Path(path)
     return load_presentation(path.read_text(encoding="utf-8"), label=path.stem)
 
 
 def builtin_preset_text(name: str) -> str:
+    from importlib import resources
+
     return resources.files("grasspq").joinpath(f"presets/{name}.preset").read_text()
 
 
@@ -477,7 +479,10 @@ def _cmd_confluence(args) -> int:
     return _emit_report(overlap_check(pres), args.json)
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def build_arg_parser():
+    """The `grasspq` command's argparse.ArgumentParser."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="grasspq",
         description="Exact rewrite-system algebra for the deformed Grassmann "

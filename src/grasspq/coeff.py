@@ -20,9 +20,9 @@ denominator) pairs and builds one `Fraction` per value.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Mapping
 
 from .errors import SingularEvaluation, SingularSpecialization, ZeroInverse
 
@@ -458,7 +458,7 @@ class RatFunc:
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.den == LaurentPoly.const(1):
+        if self.den is _UNIT:  # every unit denominator is the shared one
             return str(self.num)
         den = str(self.den)
         num = str(self.num)

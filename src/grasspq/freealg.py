@@ -16,9 +16,8 @@ presentation is finished by bounded completion.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
 
 from .coeff import ONE, P, Q, RatFunc
 from .errors import (
@@ -38,20 +37,30 @@ Junctions = dict[tuple[Word, str], dict[Word, RatFunc]]  # (v, x) -> NF(v*x)
 EVEN, ODD = 0, 1
 
 
-@dataclass(frozen=True)
 class Generator:
-    name: str
-    parity: int  # 0 even, 1 odd
-    order_index: int
+    __slots__ = ("name", "parity", "order_index")
+
+    def __init__(self, name: str, parity: int, order_index: int):
+        self.name = name
+        self.parity = parity  # 0 even, 1 odd
+        self.order_index = order_index
 
 
-@dataclass(frozen=True)
 class ReductionLimits:
     """Guard rails for rewriting: surface a runaway reduction instead of
     spinning."""
 
-    max_word_length: int = 64
-    max_steps: int = 2_000_000
+    __slots__ = ("max_word_length", "max_steps")
+
+    def __init__(self, max_word_length: int = 64, max_steps: int = 2_000_000):
+        self.max_word_length = max_word_length
+        self.max_steps = max_steps
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReductionLimits):
+            return NotImplemented
+        return (self.max_word_length, self.max_steps) == (other.max_word_length,
+                                                          other.max_steps)
 
 
 class Poly:
@@ -161,13 +170,16 @@ def product_terms(left: Mapping[Word, RatFunc],
     return out
 
 
-@dataclass(frozen=True)
 class RewriteRule:
     """Oriented relation lhs -> rhs; every rhs word is strictly below lhs
-    in the presentation's monomial order."""
+    in the presentation's monomial order.  Rules compare and hash by
+    identity."""
 
-    lhs: Word
-    rhs: Poly
+    __slots__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: Word, rhs: Poly):
+        self.lhs = lhs
+        self.rhs = rhs
 
     def as_relation(self) -> Poly:
         return Poly({self.lhs: ONE}) - self.rhs
@@ -455,35 +467,28 @@ def orient(relation: Poly, pres: Presentation) -> RewriteRule:
 
 
 def _ambiguities(rules: Sequence[RewriteRule]):
-    """All overlap and inclusion ambiguities; yields
-    (word, (pos1, rule1), (pos2, rule2))."""
+    """All overlap and inclusion ambiguities, each once; yields the key
+    (word, pos1, rule1, pos2, rule2)."""
     for r1, r2 in itertools.product(rules, repeat=2):
         l1, l2 = r1.lhs, r2.lhs
         # proper overlap: a suffix of l1 is a prefix of l2
         for k in range(1, min(len(l1), len(l2))):
             if l1[-k:] == l2[:k]:
-                yield l1 + l2[k:], (0, r1), (len(l1) - k, r2)
+                yield l1 + l2[k:], 0, r1, len(l1) - k, r2
         # inclusion: l2 occurs strictly inside l1
         if r1 is not r2 and len(l2) < len(l1):
             for i in range(len(l1) - len(l2) + 1):
                 if l1[i:i + len(l2)] == l2:
-                    yield l1, (0, r1), (i, r2)
+                    yield l1, 0, r1, i, r2
 
 
-def _resolved_ambiguities(pres: Presentation):
-    """Each distinct ambiguity of the rules, resolved; yields (word, pos2,
-    difference), the difference being the normal form of the first
-    one-step rewrite of the word minus that of the second (zero iff the
-    ambiguity resolves)."""
-    seen = set()
-    for word, (i1, r1), (i2, r2) in _ambiguities(pres.rules):
-        key = (word, i1, r1.lhs, i2, r2.lhs)
-        if key in seen:
-            continue
-        seen.add(key)
-        first = Poly(dict(_rewrite_at(word, i1, r1, pres)))
-        second = Poly(dict(_rewrite_at(word, i2, r2, pres)))
-        yield word, i2, normal_form(first - second, pres)
+def _difference(key, pres: Presentation) -> Poly:
+    """The normal form of the first one-step rewrite of an ambiguity's word
+    minus that of the second: zero iff the ambiguity resolves."""
+    word, i1, r1, i2, r2 = key
+    first = Poly(dict(_rewrite_at(word, i1, r1, pres)))
+    second = Poly(dict(_rewrite_at(word, i2, r2, pres)))
+    return normal_form(first - second, pres)
 
 
 def residual_check(name: str, residual: Poly, pres: Presentation, ref: str) -> Check:
@@ -499,8 +504,9 @@ def overlap_check(pres: Presentation) -> Report:
     """Diamond-lemma local confluence: both reductions of every ambiguity
     must share a normal form."""
     report = Report(suite=f"confluence:{pres.label}")
-    for word, i2, diff in _resolved_ambiguities(pres):
-        report.add(residual_check(f"overlap:{'*'.join(word)}@{i2}", diff, pres,
+    for key in _ambiguities(pres.rules):
+        report.add(residual_check(f"overlap:{'*'.join(key[0])}@{key[3]}",
+                                  _difference(key, pres), pres,
                                   "both reductions of a shared subword must agree"))
     if not pres.rules:
         report.add(Check(name="overlap:none", status="pass",
@@ -509,18 +515,24 @@ def overlap_check(pres: Presentation) -> Report:
     return report
 
 
+def _occurs(part: Word, word: Word) -> bool:
+    n = len(part)
+    return any(word[i:i + n] == part for i in range(len(word) - n + 1))
+
+
 def _interreduce(rules: list[RewriteRule], skeleton: Presentation) -> None:
     """Inter-reduce `rules` in place.  A rule whose lhs contains another
-    rule's lhs is reduced, as a relation, against the others: deleted if
-    that gives zero, re-oriented at its position otherwise.  Then every lhs
-    is irreducible, so one pass reducing each rhs with the full system, the
-    rule itself included, leaves every rhs irreducible; a self-embedded rhs
-    (its own lhs as a subword, possible under the weighted orders) would
-    otherwise let one reduction strategy expand forever."""
+    rule's (shorter) lhs is reduced, as a relation, against the others:
+    deleted if that gives zero, re-oriented at its position otherwise.
+    Then every lhs is irreducible, so one pass reducing each rhs with the
+    full system, the rule itself included, leaves every rhs irreducible; a
+    self-embedded rhs (its own lhs as a subword, possible under the
+    weighted orders) would otherwise let one reduction strategy expand
+    forever.  A rule the pass leaves unchanged stays the same object."""
     while True:
-        # inclusion ambiguities are the ones whose word is the first lhs
-        containing = {r1.lhs for word, (_, r1), _ in _ambiguities(rules) if word == r1.lhs}
-        i = next((i for i, rule in enumerate(rules) if rule.lhs in containing), None)
+        i = next((i for i, rule in enumerate(rules)
+                  if any(len(other.lhs) < len(rule.lhs) and _occurs(other.lhs, rule.lhs)
+                         for other in rules)), None)
         if i is None:
             break
         others = skeleton.with_rules(rules[:i] + rules[i + 1:])
@@ -530,7 +542,10 @@ def _interreduce(rules: list[RewriteRule], skeleton: Presentation) -> None:
         else:
             rules[i] = orient(rel, skeleton)
     full = skeleton.with_rules(rules)
-    rules[:] = [RewriteRule(rule.lhs, normal_form(rule.rhs, full)) for rule in rules]
+    for i, rule in enumerate(rules):
+        rhs = normal_form(rule.rhs, full)
+        if rhs != rule.rhs:
+            rules[i] = RewriteRule(rule.lhs, rhs)
 
 
 MAX_RULES = 64  # completion raises CompletionOverflow past this many rules
@@ -544,7 +559,14 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
     """Orient, inter-reduce and (boundedly) complete a relation set.  Each
     round adds its pending relations, each reduced against the rules so far
     and oriented, and inter-reduces; the first round adds the input
-    relations, every later one the smallest unresolved ambiguity."""
+    relations, every later one the smallest unresolved ambiguity.
+
+    An ambiguity that resolved to zero is not resolved again in later
+    rounds while both of its rules stand unchanged.  When a round finds
+    nothing unresolved but skipped some ambiguity, one full round resolves
+    every ambiguity of the final rules before the result is returned, so
+    the returned system passes the diamond-lemma check; if that round finds
+    anything, completion goes on."""
     generators = tuple(Generator(n, p, i) for i, (n, p) in enumerate(gens))
     skeleton = Presentation(label, generators, (), order=order,
                             negative_weight=frozenset(negative_weight),
@@ -552,10 +574,25 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
     rules: list[RewriteRule] = []
     pending = list(relations)
     added = 0
+    resolved = set()  # keys of the ambiguities that resolved to zero
 
     def priority(d: Poly):
         lead = skeleton.sort_terms(d)[0][0]
         return (len(lead), skeleton.word_key(lead))
+
+    def smallest_unresolved(keys, pres: Presentation) -> Poly | None:
+        # fair strategy: of all the unresolved ambiguities of this round,
+        # install the first with the smallest leading word, so short rules
+        # form before their longer consequences can cascade
+        unresolved = []
+        for key in keys:
+            diff = _difference(key, pres)
+            if diff:
+                resolved.discard(key)
+                unresolved.append(diff)
+            else:
+                resolved.add(key)
+        return min(unresolved, key=priority, default=None)
 
     while True:
         for rel in pending:
@@ -563,11 +600,12 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
             if not nf.is_zero:
                 rules.append(orient(nf, skeleton))
         _interreduce(rules, skeleton)
-        # fair strategy: of all the unresolved ambiguities of this round,
-        # install the first with the smallest leading word, so short rules
-        # form before their longer consequences can cascade
-        resolved = _resolved_ambiguities(skeleton.with_rules(rules))
-        best = min((diff for _, _, diff in resolved if diff), key=priority, default=None)
+        pres = skeleton.with_rules(rules)
+        keys = list(_ambiguities(rules))
+        new = [key for key in keys if key not in resolved]
+        best = smallest_unresolved(new, pres)
+        if best is None and len(new) < len(keys):
+            best = smallest_unresolved(keys, pres)
         if best is None:
             # a cold copy: the words met resolving ambiguities need not
             # live as long as the presentation

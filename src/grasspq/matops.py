@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .coeff import ONE, P, Q, RatFunc, evaluator, qnum
 from .errors import (

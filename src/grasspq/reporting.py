@@ -2,26 +2,38 @@
 
 from __future__ import annotations
 
-import json
 import time
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Check:
-    name: str
-    status: str  # pass | fail
-    residual: str | None = None
-    paper_ref: str | None = None  # the identity being checked, spelled out
+    __slots__ = ("name", "status", "residual", "paper_ref")
+
+    def __init__(self, name: str, status: str, residual: str | None = None,
+                 paper_ref: str | None = None):
+        self.name = name
+        self.status = status  # pass | fail
+        self.residual = residual
+        self.paper_ref = paper_ref  # the identity being checked, spelled out
+
+    def _fields(self):
+        return (self.name, self.status, self.residual, self.paper_ref)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Check):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "Check" + repr(self._fields())
 
 
-@dataclass
 class Report:
-    suite: str
-    checks: list[Check] = field(default_factory=list)
-    seed: int | None = None
-    elapsed_ms: float = 0.0
-    _started: float = field(default_factory=time.perf_counter, repr=False)
+    def __init__(self, suite: str, seed: int | None = None):
+        self.suite = suite
+        self.checks: list[Check] = []
+        self.seed = seed
+        self.elapsed_ms = 0.0
+        self._started = time.perf_counter()
 
     def add(self, check: Check) -> None:
         self.checks.append(check)
@@ -41,9 +53,11 @@ class Report:
     def signature(self):
         """Everything except timing; two runs with the same seed must agree."""
         return (self.suite, self.seed,
-                tuple((c.name, c.status, c.residual, c.paper_ref) for c in self.checks))
+                tuple(c._fields() for c in self.checks))
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "suite": self.suite,
             "checks": [

@@ -4,8 +4,7 @@ faults that the suites must catch."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .coeff import ONE, P, Q, RatFunc, qnum
 from .freealg import (
@@ -287,15 +286,18 @@ SUITES: dict[str, Callable[..., Report]] = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Mutation:
     """A single-coefficient fault injected into a preset rule."""
 
-    name: str
-    preset_name: str
-    rule_lhs: tuple[str, ...]
-    rhs_word: tuple[str, ...]
-    factor: RatFunc  # multiply that coefficient by this
+    __slots__ = ("name", "preset_name", "rule_lhs", "rhs_word", "factor")
+
+    def __init__(self, name: str, preset_name: str, rule_lhs: tuple[str, ...],
+                 rhs_word: tuple[str, ...], factor: RatFunc):
+        self.name = name
+        self.preset_name = preset_name
+        self.rule_lhs = rule_lhs
+        self.rhs_word = rhs_word
+        self.factor = factor  # multiply that coefficient by this
 
 
 MUTATIONS = (

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grasspq
 from grasspq import matops
 from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.errors import (
@@ -39,6 +42,19 @@ def run_cli(*argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def test_import_loads_no_module_that_start_up_does_not_use():
+    # a fresh interpreter: what `python -c pass` loads is already in
+    # sys.modules before the import
+    code = ("import sys; before = set(sys.modules); import grasspq, grasspq.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'json', 'argparse'}"
+            " & (set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(grasspq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 # -- parsing ------------------------------------------------------------------

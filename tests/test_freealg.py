@@ -7,8 +7,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from grasspq import cli, freealg
 from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.errors import (
+    AlgebraError,
+    CompletionOverflow,
     DegreeCapExceeded,
     GeneratorMismatch,
     ZeroRelation,
@@ -16,16 +19,21 @@ from grasspq.errors import (
 from grasspq.freealg import (
     ENTRY_LAYOUTS,
     EVEN,
+    MAX_RULES,
     ODD,
     PRESET_NAMES,
+    Generator,
     Poly,
     Presentation,
     ReductionLimits,
     RewriteRule,
+    _ambiguities,
+    _rewrite_at,
     build_gr2,
     build_gr11,
     build_gr11_localized,
     build_presentation,
+    derive_relations,
     family,
     format_poly,
     free_algebra_on,
@@ -323,6 +331,165 @@ def test_localized_build_constructs_few_presentations(monkeypatch):
     monkeypatch.setattr(Presentation, "__init__", counting)
     build_gr11_localized(P, Q)
     assert len(built) <= 64
+
+
+# -- completion resolves each ambiguity once per build ------------------------------
+
+def reference_build(label, gens, relations, *, order="deglex", negative_weight=(),
+                    inverses=None, limits=ReductionLimits()):
+    """build_presentation as it was before each ambiguity was resolved once
+    per build: every round resolves every ambiguity of its rules, and
+    inter-reduction finds a contained lhs among the inclusion ambiguities.
+    The reference for test_completion_matches_the_reference_*."""
+    generators = [Generator(n, p, i) for i, (n, p) in enumerate(gens)]
+    skeleton = Presentation(label, generators, (), order=order,
+                            negative_weight=frozenset(negative_weight),
+                            inverses=inverses, limits=limits)
+
+    def interreduce(rules):
+        while True:
+            containing = {r1.lhs for word, _, r1, _, _ in _ambiguities(rules) if word == r1.lhs}
+            i = next((i for i, rule in enumerate(rules) if rule.lhs in containing), None)
+            if i is None:
+                break
+            others = skeleton.with_rules(rules[:i] + rules[i + 1:])
+            rel = normal_form(rules[i].as_relation(), others)
+            if rel.is_zero:
+                del rules[i]
+            else:
+                rules[i] = orient(rel, skeleton)
+        full = skeleton.with_rules(rules)
+        rules[:] = [RewriteRule(rule.lhs, normal_form(rule.rhs, full)) for rule in rules]
+
+    def differences(pres):
+        seen = set()
+        for word, i1, r1, i2, r2 in _ambiguities(pres.rules):
+            key = (word, i1, r1.lhs, i2, r2.lhs)
+            if key not in seen:
+                seen.add(key)
+                first = Poly(dict(_rewrite_at(word, i1, r1, pres)))
+                second = Poly(dict(_rewrite_at(word, i2, r2, pres)))
+                yield normal_form(first - second, pres)
+
+    def priority(d):
+        lead = skeleton.sort_terms(d)[0][0]
+        return (len(lead), skeleton.word_key(lead))
+
+    rules, pending, added = [], list(relations), 0
+    while True:
+        for rel in pending:
+            nf = normal_form(rel, skeleton.with_rules(rules))
+            if not nf.is_zero:
+                rules.append(orient(nf, skeleton))
+        interreduce(rules)
+        best = min((d for d in differences(skeleton.with_rules(rules)) if d),
+                   key=priority, default=None)
+        if best is None:
+            return skeleton.with_rules(rules, completion_added=added)
+        if len(rules) >= MAX_RULES:
+            raise CompletionOverflow(f"completion of {label!r} exceeded {MAX_RULES} rules")
+        pending = [best]
+        added += 1
+
+
+def build_outcome(build, args, kwargs):
+    """The rules as (lhs, printed rhs), and completion_added; or the
+    exception's type and message."""
+    try:
+        pres = build(*args, **kwargs)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+    return rule_strings(pres), pres.completion_added
+
+
+def recorded_builds(monkeypatch, make):
+    """The arguments of every build_presentation call that make() makes."""
+    calls = []
+
+    def record(label, gens, relations, **kwargs):
+        calls.append(((label, gens, list(relations)), kwargs))
+        return build_presentation(*calls[-1][0], **kwargs)
+
+    monkeypatch.setattr(freealg, "build_presentation", record)
+    monkeypatch.setattr(cli, "build_presentation", record)
+    make()
+    monkeypatch.undo()
+    return calls
+
+
+def _derivations():
+    pairs = [("plane_p20", "plane_q02", "all_odd"), ("plane_q02", "plane_p20", "all_odd"),
+             ("plane_p11", "plane_q11_dual", "diag_odd"),
+             ("plane_q11_dual", "plane_p11", "diag_odd"), ("plane_p20", "plane_p20", "all_even")]
+    for source, target, kind in pairs:
+        derived = derive_relations(preset(source), preset(target), kind)
+        build_presentation(f"derived:{kind}", ENTRY_LAYOUTS[kind], derived)
+    derive_relations(preset("plane_p11"), preset("plane_q11_dual"), "diag_odd",
+                     convention="commute")
+
+
+COMPLETION_INPUTS = {
+    "preset_builders": lambda: [preset.__wrapped__(name) for name in PRESET_NAMES],
+    "degenerations": lambda: (build_gr2(P, P), build_gr11(P, P),
+                              build_gr11_localized(P ** -1, Q ** -1)),
+    "derivations": _derivations,
+    "preset_files": lambda: [cli.load_presentation(cli.builtin_preset_text(name))
+                             for name in PRESET_NAMES],
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(COMPLETION_INPUTS))
+def test_completion_matches_the_reference_on_shipped_inputs(inputs, monkeypatch):
+    calls = recorded_builds(monkeypatch, COMPLETION_INPUTS[inputs])
+    assert calls
+    for args, kwargs in calls:
+        got = build_outcome(build_presentation, args, kwargs)
+        assert got == build_outcome(reference_build, args, kwargs), args[0]
+
+
+LOADER_GENERATORS = (("x", EVEN), ("y", EVEN), ("xi", ODD), ("xinv", EVEN))
+SAMPLE_COEFFS = (ONE, -ONE, P, Q ** -1, RatFunc.const(2), P - Q)
+
+
+def test_completion_matches_the_reference_on_random_relation_sets(rng):
+    # loader-style inputs with words of at most two letters; the tight caps
+    # make a runaway completion fail fast, and both builds must fail alike
+    limits = ReductionLimits(max_word_length=8, max_steps=5000)
+    outcomes = set()
+    for _ in range(200):
+        gens = LOADER_GENERATORS[:rng.randint(2, 4)]
+        names = [name for name, _ in gens]
+        relations = [sum((Poly({tuple(rng.choice(names) for _ in range(rng.randint(0, 2))):
+                                rng.choice(SAMPLE_COEFFS)}) for _ in range(rng.randint(1, 3))),
+                         Poly.zero())
+                     for _ in range(rng.randint(1, 3))]
+        order = rng.choice(["deglex", "invweight"])
+        kwargs = {"order": order, "limits": limits,
+                  "negative_weight": ("xinv",) if order == "invweight" and "xinv" in names else ()}
+        args = ("sample", gens, relations)
+        got = build_outcome(build_presentation, args, kwargs)
+        assert got == build_outcome(reference_build, args, kwargs), relations
+        outcomes.add(got[0].__name__ if isinstance(got[0], type) else got[1] > 0)
+    # the sample reaches completion, and inputs that are rejected
+    assert {True, False, "NonOrientable"} <= outcomes
+
+
+def test_localized_build_resolves_each_ambiguity_once(monkeypatch):
+    # re-resolving every ambiguity in each of its 7 rounds took 277
+    # resolutions; the last round is a full one over the final rules
+    keys = []
+    difference = freealg._difference
+
+    def counting(key, pres):
+        keys.append(key)
+        return difference(key, pres)
+
+    monkeypatch.setattr(freealg, "_difference", counting)
+    pres = build_gr11_localized(P, Q)
+    assert len(keys) <= 120
+    assert len(pres.rules) == 19 and pres.completion_added == 6
+    final = list(_ambiguities(pres.rules))
+    assert keys[-len(final):] == final
 
 
 def test_normal_forms_are_path_independent(rng):
