@@ -528,7 +528,8 @@ def _interreduce(rules: list[RewriteRule], skeleton: Presentation) -> None:
     full system, the rule itself included, leaves every rhs irreducible; a
     self-embedded rhs (its own lhs as a subword, possible under the
     weighted orders) would otherwise let one reduction strategy expand
-    forever.  A rule the pass leaves unchanged stays the same object."""
+    forever.  A rule whose rhs is already irreducible stays the same
+    object."""
     while True:
         i = next((i for i, rule in enumerate(rules)
                   if any(len(other.lhs) < len(rule.lhs) and _occurs(other.lhs, rule.lhs)
@@ -543,9 +544,8 @@ def _interreduce(rules: list[RewriteRule], skeleton: Presentation) -> None:
             rules[i] = orient(rel, skeleton)
     full = skeleton.with_rules(rules)
     for i, rule in enumerate(rules):
-        rhs = normal_form(rule.rhs, full)
-        if rhs != rule.rhs:
-            rules[i] = RewriteRule(rule.lhs, rhs)
+        if any(full.find_reduction(w) for w in rule.rhs.terms):
+            rules[i] = RewriteRule(rule.lhs, normal_form(rule.rhs, full))
 
 
 MAX_RULES = 64  # completion raises CompletionOverflow past this many rules
