@@ -62,6 +62,9 @@ class ReductionLimits:
         return (self.max_word_length, self.max_steps) == (other.max_word_length,
                                                           other.max_steps)
 
+    def __hash__(self) -> int:
+        return hash((self.max_word_length, self.max_steps))
+
 
 class Poly:
     """Finite RatFunc-linear combination of words."""

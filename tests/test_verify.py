@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from grasspq.coeff import P
+from grasspq.coeff import ONE, P
 from grasspq.freealg import preset
 from grasspq.verify import (
     DEFAULT_SEED,
@@ -128,6 +128,11 @@ def test_every_mutation_is_caught():
     assert len(report.checks) == 10
 
 
+def _rule_values(pres):
+    # rules compare by identity, so compare their lhs and rhs
+    return [(r.lhs, r.rhs) for r in pres.rules]
+
+
 def test_mutated_copy_keeps_the_preset_settings():
     loc = preset("gr11_localized")
     mutated = mutate_preset(Mutation("loc_scale_b_alpha", "gr11_localized",
@@ -135,7 +140,15 @@ def test_mutated_copy_keeps_the_preset_settings():
     assert mutated.limits.max_word_length == 256
     assert (mutated.order, mutated.negative_weight, mutated.inverses) == (
         loc.order, loc.negative_weight, loc.inverses)
-    assert len(mutated.rules) == len(loc.rules) and mutated.rules != loc.rules
+    assert len(mutated.rules) == len(loc.rules)
+    assert _rule_values(mutated) != _rule_values(loc)
+
+
+def test_rule_comparison_sees_a_mutation_that_changes_nothing():
+    loc = preset("gr11_localized")
+    same = mutate_preset(Mutation("loc_keep_b_alpha", "gr11_localized",
+                                  ("b", "alpha"), ("alpha", "b"), ONE))
+    assert _rule_values(same) == _rule_values(loc)
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.name)
