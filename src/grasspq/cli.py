@@ -16,9 +16,10 @@ Whitespace is any Unicode whitespace (str.isspace) and only separates
 tokens.  Any other character is an error at its position.
 
 '^' binds tighter than '*' and '/', which bind tighter than '+' and '-';
-unary minus sits just below '^' (so -p^2 means -(p^2)).  Division
-requires a scalar divisor.  Negative powers are allowed on scalars and
-on generators with a declared inverse.
+unary minus sits just below '^' (so -p^2 means -(p^2)).  A chain of
+'*' is folded left to right in one pass.  Division requires a scalar
+divisor.  Negative powers are allowed on scalars and on generators with
+a declared inverse.
 """
 
 from __future__ import annotations
@@ -69,24 +70,26 @@ from .verify import DEFAULT_SEED, SUITES
 # Python's \w is exactly str.isalnum() or "_", and \s exactly str.isspace();
 # a \w run that starts with a digit other than 0-9 is no name.  Every
 # character is \s or \S, so consecutive matches cover the whole text but
-# for trailing whitespace.
-_TOKEN = re.compile(r"\s*(?:([-+*/^()])|([0-9]+)|(\w+)|(\S))")
+# for trailing whitespace, and a running offset gives each token's position.
+_TOKEN = re.compile(r"(\s*)(?:([-+*/^()])|([0-9]+)|(\w+)|(\S))")
 
 
 def tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    for m in _TOKEN.finditer(text):
-        group = m.lastindex
-        value = m.group(group)
-        if group == 1:
-            kind = value
-        elif group == 2:
+    pos = 0
+    for space, op, digits, word, other in _TOKEN.findall(text):
+        pos += len(space)
+        value = op or digits or word or other
+        if op:
+            kind = op
+        elif digits:
             kind = "int"
-        elif group == 3 and (value[0].isalpha() or value[0] == "_"):
+        elif word and (word[0].isalpha() or word[0] == "_"):
             kind = "name"
         else:
-            raise ExprSyntaxError(f"unexpected character {value[0]!r}", m.start(group))
-        tokens.append((kind, value, m.start(group)))
+            raise ExprSyntaxError(f"unexpected character {value[0]!r}", pos)
+        tokens.append((kind, value, pos))
+        pos += len(value)
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -213,11 +216,10 @@ def _eval(node: tuple, pres: Presentation) -> dict[Word, RatFunc]:
         return {w: -c for w, c in _eval(node[1], pres).items()}
     if tag == "^":
         return _power(node[1], node[2], pres)
+    if tag == "*":
+        return _product_chain(node, pres)
     left = _eval(node[1], pres)
     right = _eval(node[2], pres)
-    if tag == "*":
-        _hold_length(_longest(left) + _longest(right), pres)
-        return product_terms(left, right)
     if tag == "/":
         divisor = _scalar_of(right)
         if divisor is None:
@@ -228,6 +230,27 @@ def _eval(node: tuple, pres: Presentation) -> dict[Word, RatFunc]:
         right = {w: -c for w, c in right.items()}
     add_scaled(left, right, ONE)
     return left
+
+
+def _product_chain(node: tuple, pres: Presentation) -> dict[Word, RatFunc]:
+    """A chain of '*' (nested to the left) folded in one pass, left to
+    right; each factor is held to the length cap against the product so
+    far, and a bare generator just extends every word."""
+    factors = []
+    while node[0] == "*":
+        factors.append(node[2])
+        node = node[1]
+    acc = _eval(node, pres)
+    for factor in reversed(factors):
+        if factor[0] == "gen":
+            _hold_length(_longest(acc) + 1, pres)
+            letter = (factor[1],)
+            acc = {w + letter: c for w, c in acc.items()}
+        else:
+            right = _eval(factor, pres)
+            _hold_length(_longest(acc) + _longest(right), pres)
+            acc = product_terms(acc, right)
+    return acc
 
 
 def _power(base_node: tuple, n: int, pres: Presentation) -> dict[Word, RatFunc]:

@@ -6,11 +6,13 @@ coefficients.  A presentation fixes a generator order and a confluent set
 of oriented rules.  normal_form builds the normal form of a word one letter
 at a time, NF(x1...xn) = NF(NF(x1...xn-1)*xn): since the prefix is
 normal, every redex ends at the junction, and the results are cached on
-(normal word, letter).  In a confluent system any reduction order gives
-the same normal form (Bergman's diamond lemma), so this equals the
-leftmost normal form.  Local confluence is checked by resolving every
-overlap ambiguity of rule left-hand sides (diamond lemma); the localized
-presentation is finished by bounded completion.
+(normal word, letter).  The same map memoises each input word w under
+(w[:-1], w[-1]), so a repeated word costs one lookup.  In a confluent
+system any reduction order gives the same normal form (Bergman's diamond
+lemma), so this equals the leftmost normal form.  Local confluence is
+checked by resolving every overlap ambiguity of rule left-hand sides
+(diamond lemma); the localized presentation is finished by bounded
+completion.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .errors import (
 from .reporting import Check, Report, truncate_poly_text
 
 Word = tuple[str, ...]
-Junctions = dict[tuple[Word, str], dict[Word, RatFunc]]  # (v, x) -> NF(v*x)
+# (word v, letter x) -> NF(v*x): v is normal for a junction of the fold,
+# and any word for a memoised input word v*x
+Junctions = dict[tuple[Word, str], dict[Word, RatFunc]]
 
 EVEN, ODD = 0, 1
 
@@ -227,8 +231,9 @@ class Presentation:
         for r in self.rules:
             self._by_first.setdefault(r.lhs[0], []).append(r)
         self._longest_lhs = max((len(r.lhs) for r in self.rules), default=0)
-        # (normal word v, letter x) -> normal form of v*x; an entry is never
-        # mutated once published, and entries are published only when complete
+        # (word v, letter x) -> normal form of v*x, for junctions and input
+        # words; an entry is never mutated once published, and entries are
+        # published only when complete
         self._junctions: Junctions = {}
 
     # -- order -------------------------------------------------------------
@@ -310,26 +315,37 @@ def normal_form(poly: Poly, pres: Presentation, *, strategy: str = "leftmost") -
     canonical representative modulo the two-sided ideal of relations.
 
     The default strategy folds each word letter by letter onto normal
-    words (see the module docstring) through the presentation's (normal
-    word, letter) cache.  "rightmost" and "oddfirst" rewrite the whole
-    polynomial without the cache, as an independent oracle for path
-    independence."""
+    words (see the module docstring) through the presentation's (word,
+    letter) cache, which also memoises each input word.  "rightmost" and
+    "oddfirst" rewrite the whole polynomial without the cache, as an
+    independent oracle for path independence."""
     pres.validate(poly)
     if strategy != "leftmost":
         return _worklist_normal_form(poly, pres, strategy)
+    cache = pres._junctions
     fresh: Junctions = {}
+    memo: Junctions = {}  # input words, which never count as steps
     result: dict[Word, RatFunc] = {}
     for w, c in poly.terms.items():
-        # the letters before the leftmost redex are a normal word, so a
-        # word already normal costs one scan and adds no cache entry
-        hit = pres.find_reduction(w)
-        if hit is None:
+        if not w:
             add_scaled(result, {w: ONE}, c)
-        else:
-            add_scaled(result, _drive(_fold({w[:hit[0]]: ONE}, w[hit[0]:], pres, fresh),
-                                      pres, fresh), c)
+            continue
+        # an input word is memoised under (w[:-1], w[-1]), which is its
+        # last junction when w[:-1] is normal
+        key = w[:-1], w[-1]
+        nf = cache.get(key)
+        if nf is None:
+            # the letters before the leftmost redex are a normal word
+            hit = pres.find_reduction(w)
+            if hit is None:
+                nf = {w: ONE}
+            else:
+                nf = _drive(_fold({w[:hit[0]]: ONE}, w[hit[0]:], pres, fresh), pres, fresh)
+            memo[key] = nf
+        add_scaled(result, nf, c)
     # publish only after the whole call succeeded, so a raise leaves no trace
-    pres._junctions.update(fresh)
+    cache.update(fresh)
+    cache.update(memo)
     return Poly(result)
 
 
@@ -472,14 +488,14 @@ def orient(relation: Poly, pres: Presentation) -> RewriteRule:
 def _ambiguities(rules: Sequence[RewriteRule]):
     """All overlap and inclusion ambiguities, each once; yields the key
     (word, pos1, rule1, pos2, rule2)."""
-    for r1, r2 in itertools.product(rules, repeat=2):
+    for (i1, r1), (i2, r2) in itertools.product(enumerate(rules), repeat=2):
         l1, l2 = r1.lhs, r2.lhs
         # proper overlap: a suffix of l1 is a prefix of l2
         for k in range(1, min(len(l1), len(l2))):
             if l1[-k:] == l2[:k]:
                 yield l1 + l2[k:], 0, r1, len(l1) - k, r2
-        # inclusion: l2 occurs strictly inside l1
-        if r1 is not r2 and len(l2) < len(l1):
+        # inclusion: l2 occurs strictly inside l1, or two rules share an lhs
+        if len(l2) < len(l1) or l2 == l1 and i1 < i2:
             for i in range(len(l1) - len(l2) + 1):
                 if l1[i:i + len(l2)] == l2:
                     yield l1, 0, r1, i, r2

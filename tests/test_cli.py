@@ -420,6 +420,14 @@ def test_input_words_are_held_to_the_length_cap():
     assert code == 1 and "length 257" in err
 
 
+def test_product_chains_hold_each_factor_against_the_product_so_far():
+    # the product so far is zero, so b^64*c adds no word past the cap
+    assert run_cli("reduce", "--preset", "gr11", "(alpha - alpha)*b^64*c") == (0, "0\n", "")
+    code, out, err = run_cli("reduce", "--preset", "gr11", "b*b^63*c - b^64*c")
+    assert code == 1 and not out
+    assert "input word of length 65 in 'gr11' exceeds the cap 64" in err
+
+
 def test_input_length_cap_follows_the_preset(tmp_path):
     # gr11_localized allows words of length 256, also when loaded from its file
     assert run_cli("reduce", "--preset", "gr11_localized", "b^200") == (0, "b^200\n", "")

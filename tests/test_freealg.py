@@ -181,6 +181,40 @@ def test_step_cap_counts_misses_on_a_cold_cache_and_on_repeat():
             - normal_form(word, preset("gr11"))).is_zero
 
 
+def test_a_repeated_input_word_costs_no_scan(monkeypatch):
+    # a normal word, one whose only redex ends at its last letter, and one
+    # whose prefix is not normal (c*b is an lhs)
+    words = [("alpha", "b", "c"), ("b", "alpha"), ("c", "b", "alpha")]
+    pres = cold_copy(preset("gr11"))
+    first = [normal_form(Poly({word: P}), pres) for word in words]
+    scans = []
+    find = Presentation.find_reduction
+
+    def counting(self, *args, **kwargs):
+        scans.append(args[0])
+        return find(self, *args, **kwargs)
+
+    monkeypatch.setattr(Presentation, "find_reduction", counting)
+    assert [normal_form(Poly({word: P}), pres) for word in words] == first
+    assert scans == []
+
+
+def test_a_failed_call_publishes_no_memo_entry():
+    # the first two terms reduce (one of them is normal); the redex at the
+    # end of the third rewrites to words past the cap
+    pres = cold_copy(preset("gr11"), ReductionLimits(max_word_length=4))
+    normal_form(w("c", "b"), pres)
+    before = dict(pres._junctions)
+    poly = w("alpha", "b") + w("b", "alpha") + w("c", "c", "c", "c", "b")
+    for _ in range(2):
+        with pytest.raises(DegreeCapExceeded, match="exceeds the cap 4"):
+            normal_form(poly, pres)
+        assert pres._junctions == before
+    # the same terms alone succeed and are published
+    assert normal_form(w("alpha", "b") + w("b", "alpha"), pres) == w("alpha", "b", coeff=ONE + P)
+    assert {(("alpha",), "b"), (("b",), "alpha")} <= pres._junctions.keys()
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_cached_leftmost_agrees_with_uncached_oracles(name, rng):
     # rightmost never terminates on some localized words, so that preset
@@ -260,6 +294,16 @@ def test_orient_zero_relation_raises():
                                   "plane_q11_dual"])
 def test_presets_locally_confluent(name):
     assert overlap_check(preset(name)).passed
+
+
+def test_two_rules_with_one_lhs_are_an_inclusion_ambiguity():
+    # x reduces to both y and 0; the ambiguity is checked once
+    dup = Presentation("dup", preset("plane_p20").generators,
+                       [RewriteRule(("x",), g("y")), RewriteRule(("x",), Poly.zero())])
+    report = overlap_check(dup)
+    assert not report.passed
+    assert [(c.name, c.status, c.residual) for c in report.checks] == [
+        ("overlap:x@0", "fail", "y")]
 
 
 def test_residual_check_passes_on_zero_and_clips_long_residuals():
