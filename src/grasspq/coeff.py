@@ -14,8 +14,8 @@ integer (the 1/2 of `1/2*alpha`).  `_exact` is the one place that
 decides this, and every operation that makes a coefficient passes its
 non-int results through it.  Floats (and bools) are refused with
 `TypeError`, since a float is not an exact rational.  Evaluation at a
-rational point (`evaluate`, `evaluator`) sums integer (numerator,
-denominator) pairs and builds one `Fraction` per value.
+rational point (`pair_evaluator`) sums integer (numerator, denominator)
+pairs; `evaluate` and `evaluator` make one `Fraction` of each value.
 """
 
 from __future__ import annotations
@@ -472,26 +472,33 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def evaluator(p0, q0) -> Callable[[RatFunc], Fraction]:
-    """Exact evaluation of rational functions at the one point (p0, q0),
-    computing each monomial p0^a q0^b once for all of them.  Raises
-    SingularEvaluation if either parameter is zero; the returned function
-    raises it where a denominator vanishes."""
+def pair_evaluator(p0, q0) -> Callable[[RatFunc], tuple[int, int]]:
+    """Exact evaluation of rational functions at the one point (p0, q0) to
+    integer pairs (numerator, positive denominator), computing each
+    monomial p0^a q0^b once for all of them.  Raises SingularEvaluation if
+    either parameter is zero; the returned function raises it where a
+    denominator vanishes."""
     p0, q0 = Fraction(_exact(p0)), Fraction(_exact(q0))
     if p0 == 0 or q0 == 0:
         raise SingularEvaluation("parameters must be nonzero")
     monomials: dict[ExpPair, tuple[int, int]] = {}
 
-    def value(f: RatFunc) -> Fraction:
+    def value(f: RatFunc) -> tuple[int, int]:
         n, nd = _value(f.num, p0, q0, monomials)
         if f.den is _UNIT:
-            return Fraction(n, nd)
+            return n, nd
         d, dd = _value(f.den, p0, q0, monomials)
         if d == 0:
             raise SingularEvaluation(f"denominator vanishes at ({p0}, {q0})")
-        return Fraction(n * dd, nd * d)
+        return (n * dd, nd * d) if d > 0 else (-n * dd, -nd * d)
 
     return value
+
+
+def evaluator(p0, q0) -> Callable[[RatFunc], Fraction]:
+    """`pair_evaluator` with each value made one Fraction."""
+    pair = pair_evaluator(p0, q0)
+    return lambda f: Fraction(*pair(f))
 
 
 def _subst_laurent(poly: LaurentPoly, pv: RatFunc, qv: RatFunc) -> RatFunc:

@@ -795,10 +795,19 @@ def free_algebra_on(pres: Presentation) -> Presentation:
 
 
 def irreducible_words(pres: Presentation, max_length: int) -> list[Word]:
+    """The normal words of length at most max_length, shortest first, each
+    length in generator order.  A word is normal iff its prefix is and no
+    left-hand side ends at its last letter, so only normal words extend."""
     names = [g.name for g in pres.generators]
-    return [word for n in range(max_length + 1)
-            for word in itertools.product(names, repeat=n)
-            if pres.find_reduction(word) is None]
+    longest = max((len(r.lhs) for r in pres.rules), default=0)
+    level, words = [()], []
+    for n in range(max_length + 1):
+        if n:
+            start = max(0, n - longest)
+            level = [word for prefix in level for word in (prefix + (x,) for x in names)
+                     if pres.find_reduction(word, start=start) is None]
+        words += level
+    return words
 
 
 # ---------------------------------------------------------------------------

@@ -617,6 +617,17 @@ def test_gr2_dimension_is_sixteen():
         assert idx == sorted(idx) and len(set(idx)) == len(idx)
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_irreducible_words_match_the_filter_over_all_words(name):
+    pres = preset(name)
+    names = [gen.name for gen in pres.generators]
+    max_length = {"gr2": 5, "gr11_localized": 3}.get(name, 4)
+    assert irreducible_words(pres, max_length) == [
+        word for n in range(max_length + 1)
+        for word in itertools.product(names, repeat=n)
+        if pres.find_reduction(word) is None]
+
+
 def test_gr11_basis_growth():
     pres = preset("gr11")
     for d in range(7):

@@ -1,11 +1,14 @@
 """Matrices over the presented algebras: products, tensors, the R-matrix,
 RTT residuals, dual determinants, inverses, the superdeterminant."""
 
+import itertools
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from grasspq.coeff import ONE, P, Q, RatFunc
+from grasspq.coeff import ONE, P, Q, RatFunc, evaluator
 from grasspq.errors import GeneratorMismatch, NotHomogeneous, NotLocalized, ShapeMismatch
 from grasspq.freealg import (
     ENTRY_LAYOUTS,
@@ -38,7 +41,7 @@ from grasspq.matops import (
     tensor_graded,
     tensor_ungraded,
 )
-from grasspq.matops import _echelon
+from grasspq.matops import _admissible_points, _echelon, _integer_echelon, _integer_rows
 from grasspq.verify import MUTATIONS, mutate_preset
 
 w = Poly.word
@@ -306,29 +309,83 @@ def dense_rank(rows):
     return rank
 
 
-def test_sparse_rank_matches_dense_elimination(rng):
+def random_rows(rng):
+    """Up to six sparse Fraction rows over five words, some of them
+    combinations of earlier rows."""
     cols = [("alpha", x) for x in ("b", "c", "delta")] + [("b", "c"), ("c", "b")]
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        if rows and rng.random() < 0.4:  # a combination of earlier rows
+            row = {}
+            for old in rng.sample(rows, rng.randint(1, len(rows))):
+                f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for c, v in old.items():
+                    row[c] = row.get(c, 0) + f * v
+            row = {c: v for c, v in row.items() if v}
+        else:
+            row = {c: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                   for c in rng.sample(cols, rng.randint(1, 3))}
+            row = {c: v for c, v in row.items() if v}
+        rows.append(row)
+    return rows
+
+
+def test_sparse_rank_matches_dense_elimination(rng):
     for _ in range(300):
-        rows = []
-        for _ in range(rng.randint(1, 6)):
-            if rows and rng.random() < 0.4:  # a combination of earlier rows
-                row = {}
-                for old in rng.sample(rows, rng.randint(1, len(rows))):
-                    f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                    for c, v in old.items():
-                        row[c] = row.get(c, 0) + f * v
-                row = {c: v for c, v in row.items() if v}
-            else:
-                row = {c: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
-                       for c in rng.sample(cols, rng.randint(1, 3))}
-                row = {c: v for c, v in row.items() if v}
-            rows.append(row)
-        assert len(_echelon(rows)) == dense_rank(rows)
+        dense = random_rows(rng)
+        rows = [{c: RatFunc.const(v) for c, v in row.items()} for row in dense]
+        assert len(_echelon(rows)) == dense_rank(dense)
         # rows appended to the echelon of a prefix: the rank of the union
         cut = rng.randint(0, len(rows))
         prefix = _echelon(rows[:cut])
-        assert len(_echelon(rows[cut:], prefix)) == dense_rank(rows)
-        assert len(prefix) == dense_rank(rows[:cut])  # the basis is copied, not grown
+        assert len(_echelon(rows[cut:], prefix)) == dense_rank(dense)
+        assert len(prefix) == dense_rank(dense[:cut])  # the basis is copied, not grown
+
+
+def test_integer_rank_matches_dense_elimination(rng):
+    point = (Fraction(3), Fraction(5, 2))
+    for _ in range(300):
+        dense = random_rows(rng)
+        at = _integer_rows([{c: RatFunc.const(v) for c, v in row.items()} for row in dense],
+                           point)
+        assert len(_integer_echelon(at)) == dense_rank(dense)
+        cut = rng.randint(0, len(at))
+        prefix = _integer_echelon(at[:cut])
+        assert len(_integer_echelon(at[cut:], prefix)) == dense_rank(dense)
+        assert len(prefix) == dense_rank(dense[:cut])  # the basis is copied, not grown
+
+
+def test_integer_rows_are_primitive_and_proportional_to_the_values(rng):
+    cols = [("alpha", x) for x in ("b", "c", "delta")] + [("b", "c"), ("c", "b")]
+    # p - 2 and q - 3 vanish at some of the points, so entries drop out
+    coeffs = [P, Q**-1, P - two, Q - RatFunc.const(3), (P + Q).inv(),
+              (P * P + Q).inv() * (P - Q), RatFunc.const(Fraction(3, 4)) * P * Q**-2]
+    for _ in range(300):
+        point = (Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+                 Fraction(rng.randint(1, 6), rng.randint(1, 2)))
+        row = {c: rng.choice(coeffs) * RatFunc.const(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+               for c in rng.sample(cols, rng.randint(1, 4))}
+        [ints] = _integer_rows([row], point)
+        value = evaluator(*point)
+        values = {c: value(f) for c, f in row.items() if value(f)}
+        assert ints.keys() == values.keys()
+        if ints:
+            assert all(type(v) is int for v in ints.values())
+            assert gcd(*ints.values()) == 1
+            assert len({v / values[c] for c, v in ints.items()}) == 1
+
+
+@pytest.mark.parametrize("coeff", [P - Q, (P - Q).inv()], ids=["p-q", "1/(p-q)"])
+def test_span_equal_never_samples_the_one_parameter_point(coeff):
+    # seed 1 drew p0 = q0 = 2, where p - q vanishes
+    xy = w("alpha", "beta")
+    assert span_equal([xy.scale(coeff)], [xy], seed=1).passed
+
+
+def test_span_equal_draws_past_a_point_where_a_denominator_vanishes():
+    assert any(p0 == 2 * q0 for p0, q0 in itertools.islice(_admissible_points(random.Random(27)), 5))
+    xy = w("alpha", "beta")
+    assert span_equal([xy.scale((P - two * Q).inv())], [xy], seed=27).passed
 
 
 def test_span_equal_rejects_inhomogeneous():
