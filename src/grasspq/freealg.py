@@ -799,11 +799,10 @@ def irreducible_words(pres: Presentation, max_length: int) -> list[Word]:
     length in generator order.  A word is normal iff its prefix is and no
     left-hand side ends at its last letter, so only normal words extend."""
     names = [g.name for g in pres.generators]
-    longest = max((len(r.lhs) for r in pres.rules), default=0)
     level, words = [()], []
     for n in range(max_length + 1):
         if n:
-            start = max(0, n - longest)
+            start = max(0, n - pres._longest_lhs)
             level = [word for prefix in level for word in (prefix + (x,) for x in names)
                      if pres.find_reduction(word, start=start) is None]
         words += level
