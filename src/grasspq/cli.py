@@ -39,10 +39,9 @@ from .errors import (
 from .freealg import (
     EVEN,
     ODD,
-    Generator,
+    MAX_WORD_LENGTH,
     Poly,
     Presentation,
-    ReductionLimits,
     Word,
     add_scaled,
     build_presentation,
@@ -148,7 +147,7 @@ class _Parser:
         if kind == "name":
             if value in ("p", "q"):
                 node = ("param", value)
-            elif value in self.pres.by_name:
+            elif value in self.pres.parities:
                 node = ("gen", value)
             else:
                 raise UnknownGenerator(
@@ -194,7 +193,7 @@ def _scalar_of(terms: dict[Word, RatFunc]) -> RatFunc | None:
 def _hold_length(length: int, pres: Presentation) -> None:
     """Input words obey the presentation's length cap, checked before a
     product or power is built, so an oversized power fails at once."""
-    cap = pres.limits.max_word_length
+    cap = pres.max_word_length
     if length > cap:
         raise DegreeCapExceeded(
             f"input word of length {length} in {pres.label!r} exceeds the cap {cap}")
@@ -315,8 +314,8 @@ def dump_presentation(pres: Presentation) -> str:
         lines.append("negweight " + " ".join(sorted(pres.negative_weight)))
     for gen_name, inv_name in sorted(pres.inverses.items()):
         lines.append(f"inverse {gen_name} {inv_name}")
-    if pres.limits.max_word_length != ReductionLimits().max_word_length:
-        lines.append(f"maxword {pres.limits.max_word_length}")
+    if pres.max_word_length != MAX_WORD_LENGTH:
+        lines.append(f"maxword {pres.max_word_length}")
     for rule in pres.rules:
         lines.append("relation " + format_poly(rule.as_relation(), pres))
     return "\n".join(lines) + "\n"
@@ -346,7 +345,7 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
     setting_lines: dict[str, int] = {}  # order, negweight, maxword -> line
     order = "deglex"
     negweight: list[str] = []
-    limits = ReductionLimits()
+    max_word_length = MAX_WORD_LENGTH
     relation_texts: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -390,7 +389,7 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
         elif head == "maxword":
             if not (rest.isascii() and rest.isdecimal()) or int(rest) < 1:
                 raise ExprSyntaxError(f"bad maxword line {lineno}: need a positive integer", 0)
-            limits = ReductionLimits(max_word_length=int(rest))
+            max_word_length = int(rest)
         elif head == "relation":
             relation_texts.append(rest)
         else:
@@ -398,13 +397,12 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
     if "negweight" in setting_lines and order != "invweight":
         raise ExprSyntaxError(f"negweight on line {setting_lines['negweight']} "
                               f"needs order invweight", 0)
-    skeleton = Presentation(label, tuple(
-        Generator(n, p, i) for i, (n, p) in enumerate(gens)), (),
-        inverses=inverses, limits=limits)
+    skeleton = Presentation(label, gens, (), inverses=inverses,
+                            max_word_length=max_word_length)
     relations = [Poly(_eval(parse(t, skeleton), skeleton)) for t in relation_texts]
     pres = build_presentation(label, gens, relations, order=order,
                               negative_weight=negweight, inverses=inverses,
-                              limits=limits)
+                              max_word_length=max_word_length)
     for name, inv in inverses.items():
         for word in ((name, inv), (inv, name)):
             if not normal_form(Poly.word(*word) - Poly.unit(), pres).is_zero:

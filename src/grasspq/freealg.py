@@ -18,6 +18,7 @@ completion.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 
@@ -41,33 +42,13 @@ Junctions = dict[tuple[Word, str], dict[Word, RatFunc]]
 EVEN, ODD = 0, 1
 
 
-class Generator:
-    __slots__ = ("name", "parity", "order_index")
+# a generator's place in the monomial order is its position in the
+# presentation
+Generator = namedtuple("Generator", "name parity")  # parity 0 even, 1 odd
 
-    def __init__(self, name: str, parity: int, order_index: int):
-        self.name = name
-        self.parity = parity  # 0 even, 1 odd
-        self.order_index = order_index
-
-
-class ReductionLimits:
-    """Guard rails for rewriting: surface a runaway reduction instead of
-    spinning."""
-
-    __slots__ = ("max_word_length", "max_steps")
-
-    def __init__(self, max_word_length: int = 64, max_steps: int = 2_000_000):
-        self.max_word_length = max_word_length
-        self.max_steps = max_steps
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReductionLimits):
-            return NotImplemented
-        return (self.max_word_length, self.max_steps) == (other.max_word_length,
-                                                          other.max_steps)
-
-    def __hash__(self) -> int:
-        return hash((self.max_word_length, self.max_steps))
+MAX_WORD_LENGTH = 64  # default cap on the length of a word rewriting makes
+MAX_STEPS = 2_000_000  # one normal_form call raises DegreeCapExceeded past this
+MAX_RULES = 64  # completion raises CompletionOverflow past this many rules
 
 
 class Poly:
@@ -206,27 +187,29 @@ class RewriteRule:
 
 
 class Presentation:
-    """Ordered graded generators plus an oriented, inter-reduced rule set."""
+    """Ordered graded generators plus an oriented, inter-reduced rule set.
 
-    def __init__(self, label: str, generators: Sequence[Generator],
+    `generators` are (name, parity) pairs, in increasing monomial order;
+    no word that rewriting makes may be longer than `max_word_length`."""
+
+    def __init__(self, label: str, generators: Iterable[tuple[str, int]],
                  rules: Sequence[RewriteRule], *, order: str = "deglex",
                  negative_weight: frozenset[str] = frozenset(),
                  inverses: Mapping[str, str] | None = None,
-                 limits: ReductionLimits = ReductionLimits(),
+                 max_word_length: int = MAX_WORD_LENGTH,
                  completion_added: int = 0):
         self.label = label
-        self.generators = tuple(generators)
+        self.generators = tuple(map(Generator._make, generators))
         self.rules = tuple(rules)
         self.order = order
         self.negative_weight = frozenset(negative_weight)
         self.inverses = dict(inverses or {})
-        self.limits = limits
+        self.max_word_length = max_word_length
         self.completion_added = completion_added
-        self.by_name = {g.name: g for g in self.generators}
-        if len(self.by_name) != len(self.generators):
+        self.parities = dict(self.generators)  # name -> parity
+        if len(self.parities) != len(self.generators):
             raise ValueError("duplicate generator names")
-        self._index = {g.name: g.order_index for g in self.generators}
-        self._parity = {g.name: g.parity for g in self.generators}
+        self._index = {name: i for i, (name, _) in enumerate(self.generators)}
         self._by_first: dict[str, list[RewriteRule]] = {}
         for r in self.rules:
             self._by_first.setdefault(r.lhs[0], []).append(r)
@@ -244,12 +227,12 @@ class Presentation:
             return (len(w), tuple(idx[g] for g in w))
         weight = 0
         for g in w:
-            if self._parity[g] == EVEN:
+            if self.parities[g] == EVEN:
                 weight += -1 if g in self.negative_weight else 1
         return (weight, len(w), tuple(idx[g] for g in w))
 
     def word_parity(self, w: Word) -> int:
-        return sum(self._parity[g] for g in w) & 1
+        return sum(self.parities[g] for g in w) & 1
 
     def poly_parity(self, poly: Poly) -> int | None:
         """Common parity of all words, or None if mixed / zero."""
@@ -259,7 +242,7 @@ class Presentation:
         return None
 
     def validate(self, poly: Poly) -> None:
-        unknown = {g for w in poly.terms for g in w} - self.by_name.keys()
+        unknown = {g for w in poly.terms for g in w} - self.parities.keys()
         if unknown:
             raise GeneratorMismatch(
                 f"{sorted(unknown)} not declared in presentation {self.label!r}")
@@ -278,7 +261,7 @@ class Presentation:
                 for rule in self._by_first.get(w[i], ()):
                     n = len(rule.lhs)
                     if w[i:i + n] == rule.lhs and any(
-                            self._parity[g] for g in rule.lhs):
+                            self.parities[g] for g in rule.lhs):
                         return i, rule
             strategy = "rightmost"
         positions = (range(start, len(w)) if strategy == "leftmost"
@@ -298,12 +281,13 @@ class Presentation:
 
     def with_rules(self, rules: Sequence[RewriteRule], *, label: str | None = None,
                    completion_added: int = 0) -> Presentation:
-        """The same generators, order, weights, inverses and limits with
+        """The same generators, order, weights, inverses and word cap with
         another rule set (and a cold normal-form cache)."""
         return Presentation(self.label if label is None else label,
                             self.generators, rules, order=self.order,
                             negative_weight=self.negative_weight,
-                            inverses=self.inverses, limits=self.limits,
+                            inverses=self.inverses,
+                            max_word_length=self.max_word_length,
                             completion_added=completion_added)
 
     def __repr__(self) -> str:
@@ -352,7 +336,7 @@ def normal_form(poly: Poly, pres: Presentation, *, strategy: str = "leftmost") -
 def _drive(root, pres: Presentation, fresh: Junctions) -> dict[Word, RatFunc]:
     """Run a fold, computing each (normal word, letter) key it misses into
     `fresh` on one explicit stack of generators, so there is no recursion.
-    A miss counts against `max_steps` (the call's misses so far are the
+    A miss counts against `MAX_STEPS` (the call's misses so far are the
     keys in `fresh` or pending); a key missed again while pending raises,
     since the `invweight` order is not well-founded."""
     stack = [root]
@@ -370,9 +354,9 @@ def _drive(root, pres: Presentation, fresh: Junctions) -> dict[Word, RatFunc]:
         if key in pending:
             raise DegreeCapExceeded(f"word {_word_str(key[0] + (key[1],))} recurs "
                                     f"on its own reduction path in {pres.label!r}")
-        if len(fresh) + len(pending) >= pres.limits.max_steps:
+        if len(fresh) + len(pending) >= MAX_STEPS:
             raise DegreeCapExceeded(
-                f"reduction in {pres.label!r} exceeded {pres.limits.max_steps} steps")
+                f"reduction in {pres.label!r} exceeded {MAX_STEPS} steps")
         stack.append(_junction(*key, pres, fresh))
         pending[key] = None
         value = None
@@ -398,7 +382,7 @@ def _rewrite_at(w: Word, pos: int, rule: RewriteRule,
     """One rewrite step: the words and coefficients that replace the redex
     of `rule` at position `pos` of w, each held to the length cap."""
     prefix, suffix = w[:pos], w[pos + len(rule.lhs):]
-    cap = pres.limits.max_word_length
+    cap = pres.max_word_length
     out = []
     for rw, rc in rule.rhs.terms.items():
         nw = prefix + rw + suffix
@@ -445,7 +429,6 @@ def _junction(v: Word, x: str, pres: Presentation, fresh: Junctions):
 def _worklist_normal_form(poly: Poly, pres: Presentation, strategy: str) -> Poly:
     """Rewrite the whole polynomial with the given redex strategy, term by
     term from a pending worklist; no cache."""
-    limits = pres.limits
     result: dict[Word, RatFunc] = {}
     pending = dict(poly.terms)
     steps = 0
@@ -456,9 +439,9 @@ def _worklist_normal_form(poly: Poly, pres: Presentation, strategy: str) -> Poly
             add_scaled(result, {w: ONE}, c)
             continue
         steps += 1
-        if steps > limits.max_steps:
+        if steps > MAX_STEPS:
             raise DegreeCapExceeded(
-                f"reduction in {pres.label!r} exceeded {limits.max_steps} steps")
+                f"reduction in {pres.label!r} exceeded {MAX_STEPS} steps")
         add_scaled(pending, dict(_rewrite_at(w, *hit, pres)), c)
     return Poly(result)
 
@@ -567,18 +550,15 @@ def _interreduce(rules: list[RewriteRule], skeleton: Presentation) -> None:
             rules[i] = RewriteRule(rule.lhs, normal_form(rule.rhs, full))
 
 
-MAX_RULES = 64  # completion raises CompletionOverflow past this many rules
-
-
 def build_presentation(label: str, gens: Sequence[tuple[str, int]],
                        relations: Iterable[Poly], *, order: str = "deglex",
                        negative_weight: Iterable[str] = (),
                        inverses: Mapping[str, str] | None = None,
-                       limits: ReductionLimits = ReductionLimits()) -> Presentation:
+                       max_word_length: int = MAX_WORD_LENGTH) -> Presentation:
     """Orient, inter-reduce and (boundedly) complete a relation set.  Each
-    round adds its pending relations, each reduced against the rules so far
-    and oriented, and inter-reduces; the first round adds the input
-    relations, every later one the smallest unresolved ambiguity.
+    input relation is reduced against the rules so far and oriented; then
+    each round inter-reduces the rules and orients the smallest unresolved
+    ambiguity, which is already a normal form under them, as a new rule.
 
     An ambiguity that resolved to zero is not resolved again in later
     rounds while both of its rules stand unchanged.  When a round finds
@@ -586,12 +566,14 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
     every ambiguity of the final rules before the result is returned, so
     the returned system passes the diamond-lemma check; if that round finds
     anything, completion goes on."""
-    generators = tuple(Generator(n, p, i) for i, (n, p) in enumerate(gens))
-    skeleton = Presentation(label, generators, (), order=order,
+    skeleton = Presentation(label, gens, (), order=order,
                             negative_weight=frozenset(negative_weight),
-                            inverses=inverses, limits=limits)
+                            inverses=inverses, max_word_length=max_word_length)
     rules: list[RewriteRule] = []
-    pending = list(relations)
+    for rel in relations:
+        nf = normal_form(rel, skeleton.with_rules(rules))
+        if not nf.is_zero:
+            rules.append(orient(nf, skeleton))
     added = 0
     resolved = set()  # keys of the ambiguities that resolved to zero
 
@@ -614,10 +596,6 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
         return min(unresolved, key=priority, default=None)
 
     while True:
-        for rel in pending:
-            nf = normal_form(rel, skeleton.with_rules(rules))
-            if not nf.is_zero:
-                rules.append(orient(nf, skeleton))
         _interreduce(rules, skeleton)
         pres = skeleton.with_rules(rules)
         keys = list(_ambiguities(rules))
@@ -632,7 +610,7 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
         if len(rules) >= MAX_RULES:
             raise CompletionOverflow(
                 f"completion of {label!r} exceeded {MAX_RULES} rules")
-        pending = [best]
+        rules.append(orient(best, skeleton))
         added += 1
 
 
@@ -752,7 +730,7 @@ def build_gr11_localized(pp: RatFunc, qq: RatFunc) -> Presentation:
                               order="invweight",
                               negative_weight=("binv", "cinv"),
                               inverses={"b": "binv", "c": "cinv"},
-                              limits=ReductionLimits(max_word_length=256))
+                              max_word_length=256)
 
 
 _PRESETS = {
@@ -835,7 +813,7 @@ def derive_relations(source_plane: Presentation, target_plane: Presentation,
     if entry_set & set(coord_names):
         raise GeneratorMismatch("matrix entries must be fresh generators")
 
-    gens = list(entries) + [(g.name, g.parity) for g in source_plane.generators]
+    gens = list(entries) + list(source_plane.generators)
     w = Poly.word
     rels = source_plane.relation_polys()
     for coord in source_plane.generators:

@@ -483,7 +483,7 @@ def _word_power(letters: Word, n: int) -> Poly:
 def check_power_cap(exponent: int, pres: Presentation) -> None:
     """The exponent-th power of the generic matrix has a word of length
     exponent; refuse it before any product is built if that is over the cap."""
-    cap = pres.limits.max_word_length
+    cap = pres.max_word_length
     if exponent > cap:
         raise DegreeCapExceeded(f"power {exponent} of {pres.label!r} is over the cap {cap}")
 

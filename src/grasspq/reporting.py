@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import time
 
+MAX_RESIDUAL = 512  # characters of a residual that to_text prints
+MAX_TERMS = 32  # terms of a polynomial that truncate_poly_text keeps
+
 
 class Check:
     __slots__ = ("name", "status", "residual", "paper_ref")
@@ -70,7 +73,7 @@ class Report:
         }
         return json.dumps(doc, indent=2)
 
-    def to_text(self, max_residual: int = 512) -> str:
+    def to_text(self) -> str:
         lines = [f"suite {self.suite}: {'PASS' if self.passed else 'FAIL'}"
                  f" ({len(self.checks)} checks, {self.elapsed_ms:.1f} ms"
                  + (f", seed={self.seed}" if self.seed is not None else "") + ")"]
@@ -82,15 +85,15 @@ class Report:
             lines.append(line)
             if c.residual:
                 shown = c.residual
-                if len(shown) > max_residual:
-                    shown = shown[:max_residual] + " ... [truncated]"
+                if len(shown) > MAX_RESIDUAL:
+                    shown = shown[:MAX_RESIDUAL] + " ... [truncated]"
                 lines.append(f"         residual: {shown}")
         return "\n".join(lines)
 
 
-def truncate_poly_text(text: str, max_terms: int = 32) -> str:
+def truncate_poly_text(text: str) -> str:
     """Clip very long polynomial printouts, keeping an explicit marker."""
     parts = text.split(" + ")
-    if len(parts) <= max_terms:
+    if len(parts) <= MAX_TERMS:
         return text
-    return " + ".join(parts[:max_terms]) + f" + ... [{len(parts) - max_terms} more terms]"
+    return " + ".join(parts[:MAX_TERMS]) + f" + ... [{len(parts) - MAX_TERMS} more terms]"

@@ -474,7 +474,7 @@ def test_builtin_preset_files_match_builders(name):
     pres = preset(name)
     assert builtin_preset_text(name) == dump_presentation(pres)
     loaded = load_presentation(builtin_preset_text(name), label=name)
-    assert loaded.limits == pres.limits
+    assert loaded.max_word_length == pres.max_word_length
     assert len(loaded.rules) == len(pres.rules)
     by_lhs = {r.lhs: r for r in loaded.rules}
     for rule in pres.rules:

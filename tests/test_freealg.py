@@ -22,10 +22,8 @@ from grasspq.freealg import (
     MAX_RULES,
     ODD,
     PRESET_NAMES,
-    Generator,
     Poly,
     Presentation,
-    ReductionLimits,
     RewriteRule,
     _ambiguities,
     _rewrite_at,
@@ -85,6 +83,17 @@ def test_free_mul_adds_no_signs_for_odd_letters():
     assert pres.word_parity(("alpha", "delta")) == 0
 
 
+def test_presentation_takes_plain_pairs_ordered_by_position():
+    pres = Presentation("pairs", [("y", EVEN), ("x", EVEN), ("xi", ODD)], ())
+    assert [(gen.name, gen.parity) for gen in pres.generators] == [
+        ("y", EVEN), ("x", EVEN), ("xi", ODD)]
+    assert pres.word_key(("y", "xi")) < pres.word_key(("x", "y")) < pres.word_key(("xi", "y"))
+    assert orient(w("x", "y") - w("y", "x", coeff=P), pres).lhs == ("x", "y")
+    assert pres.word_parity(("xi", "x")) == ODD
+    with pytest.raises(ValueError, match="duplicate generator names"):
+        Presentation("twice", [("x", EVEN), ("y", EVEN), ("x", ODD)], ())
+
+
 # -- normal forms ---------------------------------------------------------------
 
 def test_odd_diagonal_anticommutes():
@@ -120,7 +129,7 @@ def test_degree_cap_guard():
     grow = Presentation(
         "grow", preset("plane_p20").generators,
         [RewriteRule(("x",), w("y", "x"))],
-        limits=ReductionLimits(max_word_length=16))
+        max_word_length=16)
     for _ in range(2):
         with pytest.raises(DegreeCapExceeded, match="exceeds the cap 16"):
             normal_form(g("x"), grow)
@@ -128,11 +137,11 @@ def test_degree_cap_guard():
 
 # -- the junction cache ---------------------------------------------------------
 
-def cold_copy(pres, limits=None):
+def cold_copy(pres, max_word_length=None):
     """Same rules and order as pres, with an empty junction cache."""
     return Presentation(pres.label, pres.generators, pres.rules, order=pres.order,
                         negative_weight=pres.negative_weight, inverses=pres.inverses,
-                        limits=limits or pres.limits)
+                        max_word_length=max_word_length or pres.max_word_length)
 
 
 def random_words(rng, pres, count, max_len=6):
@@ -159,24 +168,26 @@ def test_reduction_deeper_than_the_recursion_limit():
     # y^1200*x nests 1200 pending junctions
     k = 40
     assert k * k > sys.getrecursionlimit()
-    deep = cold_copy(preset("plane_p20"), ReductionLimits(max_word_length=2 * k))
+    deep = cold_copy(preset("plane_p20"), max_word_length=2 * k)
     nf = normal_form(Poly({("y",) * k + ("x",) * k: ONE}), deep)
     assert nf == Poly({("x",) * k + ("y",) * k: P ** -(k * k)})
     n = 1200
     assert n > sys.getrecursionlimit()
-    deeper = cold_copy(preset("plane_p20"), ReductionLimits(max_word_length=2 * n))
+    deeper = cold_copy(preset("plane_p20"), max_word_length=2 * n)
     nf = normal_form(Poly({("y",) * n + ("x",): ONE}), deeper)
     assert nf == Poly({("x",) + ("y",) * n: P ** -n})
 
 
-def test_step_cap_counts_misses_on_a_cold_cache_and_on_repeat():
+def test_step_cap_counts_misses_on_a_cold_cache_and_on_repeat(monkeypatch):
     # (c*b)^3 takes 49 misses; were the entries a failed call finished
     # kept, the next call would start from them and get further
     word = Poly({("c", "b") * 3: ONE})
-    tight = cold_copy(preset("gr11"), ReductionLimits(max_steps=20))
+    tight = cold_copy(preset("gr11"))
+    monkeypatch.setattr(freealg, "MAX_STEPS", 20)
     for _ in range(3):
         with pytest.raises(DegreeCapExceeded, match="exceeded 20 steps"):
             normal_form(word, tight)
+    monkeypatch.undo()
     assert (normal_form(word, cold_copy(preset("gr11")))
             - normal_form(word, preset("gr11"))).is_zero
 
@@ -202,7 +213,7 @@ def test_a_repeated_input_word_costs_no_scan(monkeypatch):
 def test_a_failed_call_publishes_no_memo_entry():
     # the first two terms reduce (one of them is normal); the redex at the
     # end of the third rewrites to words past the cap
-    pres = cold_copy(preset("gr11"), ReductionLimits(max_word_length=4))
+    pres = cold_copy(preset("gr11"), max_word_length=4)
     normal_form(w("c", "b"), pres)
     before = dict(pres._junctions)
     poly = w("alpha", "b") + w("b", "alpha") + w("c", "c", "c", "c", "b")
@@ -374,21 +385,20 @@ def test_localized_build_constructs_few_presentations(monkeypatch):
 
     monkeypatch.setattr(Presentation, "__init__", counting)
     build_gr11_localized(P, Q)
-    assert len(built) <= 64
+    assert len(built) <= 35
 
 
 # -- completion resolves each ambiguity once per build ------------------------------
 
 def reference_build(label, gens, relations, *, order="deglex", negative_weight=(),
-                    inverses=None, limits=ReductionLimits()):
+                    inverses=None, max_word_length=freealg.MAX_WORD_LENGTH):
     """build_presentation as it was before each ambiguity was resolved once
     per build: every round resolves every ambiguity of its rules, and
     inter-reduction finds a contained lhs among the inclusion ambiguities.
     The reference for test_completion_matches_the_reference_*."""
-    generators = [Generator(n, p, i) for i, (n, p) in enumerate(gens)]
-    skeleton = Presentation(label, generators, (), order=order,
+    skeleton = Presentation(label, gens, (), order=order,
                             negative_weight=frozenset(negative_weight),
-                            inverses=inverses, limits=limits)
+                            inverses=inverses, max_word_length=max_word_length)
 
     def interreduce(rules):
         while True:
@@ -495,10 +505,10 @@ LOADER_GENERATORS = (("x", EVEN), ("y", EVEN), ("xi", ODD), ("xinv", EVEN))
 SAMPLE_COEFFS = (ONE, -ONE, P, Q ** -1, RatFunc.const(2), P - Q)
 
 
-def test_completion_matches_the_reference_on_random_relation_sets(rng):
+def test_completion_matches_the_reference_on_random_relation_sets(rng, monkeypatch):
     # loader-style inputs with words of at most two letters; the tight caps
     # make a runaway completion fail fast, and both builds must fail alike
-    limits = ReductionLimits(max_word_length=8, max_steps=5000)
+    monkeypatch.setattr(freealg, "MAX_STEPS", 5000)
     outcomes = set()
     for _ in range(200):
         gens = LOADER_GENERATORS[:rng.randint(2, 4)]
@@ -508,7 +518,7 @@ def test_completion_matches_the_reference_on_random_relation_sets(rng):
                          Poly.zero())
                      for _ in range(rng.randint(1, 3))]
         order = rng.choice(["deglex", "invweight"])
-        kwargs = {"order": order, "limits": limits,
+        kwargs = {"order": order, "max_word_length": 8,
                   "negative_weight": ("xinv",) if order == "invweight" and "xinv" in names else ()}
         args = ("sample", gens, relations)
         got = build_outcome(build_presentation, args, kwargs)
@@ -611,7 +621,7 @@ def test_gr2_dimension_is_sixteen():
     words = irreducible_words(preset("gr2"), 5)
     assert len(words) == 16
     # exactly the strictly increasing square-free words in generator order
-    order = {gen.name: gen.order_index for gen in preset("gr2").generators}
+    order = {gen.name: i for i, gen in enumerate(preset("gr2").generators)}
     for word in words:
         idx = [order[name] for name in word]
         assert idx == sorted(idx) and len(set(idx)) == len(idx)
@@ -718,13 +728,13 @@ def test_copies_keep_order_weights_inverses_and_limits():
     loc = preset("gr11_localized")
     copy = loc.with_rules(loc.rules[:3], label="copy")
     spec = specialize_presentation(loc, {"q": P})
-    assert spec.limits.max_word_length == 256
+    assert spec.max_word_length == 256
     assert (copy.label, copy.rules) == ("copy", loc.rules[:3])
     assert spec.label == "gr11_localized|specialized"
     for pres in (copy, spec):
         assert (pres.generators, pres.order, pres.negative_weight, pres.inverses,
-                pres.limits) == (loc.generators, loc.order, loc.negative_weight,
-                                 loc.inverses, loc.limits)
+                pres.max_word_length) == (loc.generators, loc.order, loc.negative_weight,
+                                          loc.inverses, loc.max_word_length)
 
 
 def test_specialize_singular_substitution_raises():

@@ -137,7 +137,7 @@ def test_mutated_copy_keeps_the_preset_settings():
     loc = preset("gr11_localized")
     mutated = mutate_preset(Mutation("loc_scale_b_alpha", "gr11_localized",
                                      ("b", "alpha"), ("alpha", "b"), P**-2))
-    assert mutated.limits.max_word_length == 256
+    assert mutated.max_word_length == 256
     assert (mutated.order, mutated.negative_weight, mutated.inverses) == (
         loc.order, loc.negative_weight, loc.inverses)
     assert len(mutated.rules) == len(loc.rules)
