@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Write a performance snapshot of one grasspq checkout as BENCH_<n>.json.
 
-    python3 scripts/bench_snapshot.py --out BENCH_11.json [--root DIR]
+    python3 scripts/bench_snapshot.py --out BENCH_16.json [--root DIR] [--base REV]
 
-Uses only the standard library and the checkout's own benchmark:
+Uses only the standard library, git and the checkout's own benchmark:
 
 - end to end: `perfbench/run.py --trace 0` runs of SECONDS each, REPEATS
   times per workload, the workloads alternating and the first of each repeat
@@ -18,7 +18,12 @@ Uses only the standard library and the checkout's own benchmark:
   tree has uncommitted changes).
 
 Run it from anywhere; --root (default: the current directory) names the
-checkout to measure, so an older commit can be measured from a clone.
+checkout to measure.  --base REV also measures the commit REV of that
+checkout, checked out with `git worktree add` into a temporary directory
+that is removed afterwards: every base run sits next to the head run of
+the same workload and repeat, the first of the two swapping every repeat,
+and the base rows go under "base" in the same file, so the file holds
+both numbers of a before/after pair taken alike.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from time import perf_counter
 
 WORKLOADS = ("suites", "requests")
@@ -64,15 +70,18 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def cli_wall_s(root: str, args: list[str]) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    cmd = [sys.executable, "-m", "grasspq.cli", *args]
-    times = []
-    for _ in range(REPEATS):
-        t0 = perf_counter()
-        subprocess.run(cmd, cwd=root, env=env, check=True, stdout=subprocess.DEVNULL)
-        times.append(perf_counter() - t0)
-    return summary(times)
+def cli_wall_s(roots: list[str], args: list[str]) -> list[dict]:
+    """The wall time of one CLI command in each checkout, the checkouts
+    alternating within each repeat and the first swapping every repeat."""
+    times: list[list[float]] = [[] for _ in roots]
+    for i in range(REPEATS):
+        for k in alternating(len(roots), i):
+            env = dict(os.environ, PYTHONPATH=os.path.join(roots[k], "src"))
+            t0 = perf_counter()
+            subprocess.run([sys.executable, "-m", "grasspq.cli", *args], cwd=roots[k],
+                           env=env, check=True, stdout=subprocess.DEVNULL)
+            times[k].append(perf_counter() - t0)
+    return [summary(t) for t in times]
 
 
 def git(root: str, *args: str) -> str | None:
@@ -80,45 +89,80 @@ def git(root: str, *args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def alternating(n: int, i: int) -> list[int]:
+    """The order of n checkouts in repeat i: the first swaps every repeat."""
+    return list(range(n)) if i % 2 == 0 else list(reversed(range(n)))
+
+
+def measure(roots: list[str], seed: int) -> list[dict]:
+    """The end-to-end, per-layer and CLI rows of each checkout, the
+    checkouts alternating run by run."""
+    runs = [{w: [] for w in WORKLOADS} for _ in roots]
+    for i in range(REPEATS):
+        for workload in (WORKLOADS if i % 2 == 0 else WORKLOADS[::-1]):
+            for k in alternating(len(roots), i):
+                runs[k][workload].append(bench_run(roots[k], workload, seed, 0))
+    rows = [{"commit": git(root, "rev-parse", "HEAD"), "end_to_end": {},
+             "per_layer": {}, "cli_wall_s": {}} for root in roots]
+    for row, by_workload in zip(rows, runs):
+        for workload, results in by_workload.items():
+            metrics = {name: dict(summary([r["metrics"][name]["value"] for r in results]),
+                                  unit=metric["unit"])
+                       for name, metric in results[0]["metrics"].items()}
+            row["end_to_end"][workload] = {
+                "attempted": sum(r["attempted"] for r in results),
+                "failed": sum(r["failed"] for r in results),
+                "metrics": metrics,
+            }
+    for i, workload in enumerate(WORKLOADS):
+        for k in alternating(len(roots), i):
+            rows[k]["per_layer"][workload] = bench_run(roots[k], workload, seed, 1)["metrics"]
+    for name, cmd in CLI_COMMANDS.items():
+        for row, wall in zip(rows, cli_wall_s(roots, cmd)):
+            row["cli_wall_s"][name] = wall
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="the BENCH_<n>.json file to write")
     ap.add_argument("--root", default=os.getcwd(), help="the grasspq checkout to measure")
+    ap.add_argument("--base", metavar="REV",
+                    help="also measure this commit of the checkout, alternating with it")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "perfbench", "record.json")) as fh:
         seed = json.load(fh)["default_seed"]
 
-    runs: dict[str, list[dict]] = {w: [] for w in WORKLOADS}
-    for i in range(REPEATS):
-        for workload in (WORKLOADS if i % 2 == 0 else WORKLOADS[::-1]):
-            runs[workload].append(bench_run(root, workload, seed, 0))
-    end_to_end = {}
-    for workload, results in runs.items():
-        rows = {name: dict(summary([r["metrics"][name]["value"] for r in results]),
-                           unit=metric["unit"])
-                for name, metric in results[0]["metrics"].items()}
-        end_to_end[workload] = {
-            "attempted": sum(r["attempted"] for r in results),
-            "failed": sum(r["failed"] for r in results),
-            "metrics": rows,
-        }
-    per_layer = {workload: bench_run(root, workload, seed, 1)["metrics"]
-                 for workload in WORKLOADS}
-
+    order = "workloads alternate, the first swapping every repeat"
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = [root]
+        if args.base:
+            base_root = os.path.join(tmp, "base")
+            subprocess.run(["git", "-C", root, "worktree", "add", "--detach", base_root,
+                            args.base], check=True, capture_output=True)
+            roots.append(base_root)
+            order += "; base and head runs alternate, the first swapping every repeat"
+        try:
+            rows = measure(roots, seed)
+        finally:
+            if args.base:
+                subprocess.run(["git", "-C", root, "worktree", "remove", "--force",
+                                base_root], check=True)
+    head = rows[0]
     snapshot = {
-        "commit": git(root, "rev-parse", "HEAD"),
+        "commit": head["commit"],
         "uncommitted_changes": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "machine": platform.machine(),
                     "cpu_count": os.cpu_count()},
-        "settings": {"repeats": REPEATS, "seconds": SECONDS, "seed": seed,
-                     "order": "workloads alternate, the first swapping every repeat"},
-        "end_to_end": end_to_end,
-        "per_layer": per_layer,
-        "cli_wall_s": {name: cli_wall_s(root, cmd)
-                       for name, cmd in CLI_COMMANDS.items()},
+        "settings": {"repeats": REPEATS, "seconds": SECONDS, "seed": seed, "order": order},
+        "end_to_end": head["end_to_end"],
+        "per_layer": head["per_layer"],
+        "cli_wall_s": head["cli_wall_s"],
     }
+    if args.base:
+        snapshot["base"] = rows[1]
     with open(args.out, "w") as fh:
         json.dump(snapshot, fh, indent=2)
         fh.write("\n")

@@ -30,7 +30,9 @@ class ZeroRelation(AlgebraError):
 
 
 class InconsistentConvention(AlgebraError):
-    """An endomorphism constraint collapsed to a nonzero scalar (1 = 0)."""
+    """A plane-map derivation is ill-posed: its source plane is not
+    confluent, a source relation mixes parities under the Koszul
+    convention, or a constraint collapsed to a nonzero scalar (1 = 0)."""
 
 
 class DegreeCapExceeded(AlgebraError):

@@ -794,65 +794,60 @@ def irreducible_words(pres: Presentation, max_length: int) -> list[Word]:
 def derive_relations(source_plane: Presentation, target_plane: Presentation,
                      entry_parity: str = "all_odd",
                      convention: str = "koszul") -> list[Poly]:
-    """Quadratic relations a 2x2 matrix of fresh entries must satisfy for
-    the transformed source coordinates to obey the target plane's
-    relations.
+    """Quadratic relations a 2x2 matrix of fresh entries t_ij must satisfy
+    for the transformed source coordinates x_i -> t_i1 x_1 + t_i2 x_2 to
+    obey the target plane's relations.
 
-    The entries (anti-)commute with the source coordinates according to
-    `convention`: "koszul" uses the parity product sign, "commute" uses no
-    signs.
+    The image of each target relation is expanded with one (entry,
+    coordinate) pair per letter.  Each coordinate x moves right of the later
+    entries t, with the sign (-1)^(|x||t|) per entry under `convention`
+    "koszul" and no sign under "commute", and the coordinate word is
+    reduced in the source plane.  The entry polynomials, grouped by normal
+    coordinate word, are the relations.  No presentation is built: this is
+    the normal form in the entries' free algebra tensor the source plane
+    (Bergman's diamond lemma) when the plane is confluent and, under
+    "koszul", each of its relations has one parity, so that an entry moves
+    past it with one sign.  InconsistentConvention is raised otherwise.
     """
     if convention not in ("koszul", "commute"):
         raise ValueError(f"unknown convention {convention!r}")
     if len(source_plane.generators) != 2 or len(target_plane.generators) != 2:
         raise ValueError("planes must be two-dimensional")
     entries = ENTRY_LAYOUTS[entry_parity]
-    entry_names = [n for n, _ in entries]
-    entry_set = set(entry_names)
-    coord_names = [g.name for g in source_plane.generators]
-    if entry_set & set(coord_names):
+    if {name for name, _ in entries} & source_plane.parities.keys():
         raise GeneratorMismatch("matrix entries must be fresh generators")
+    if not overlap_check(source_plane).passed:
+        raise InconsistentConvention(f"source plane {source_plane.label!r} is not confluent")
+    koszul = convention == "koszul"
+    if koszul and any(source_plane.poly_parity(rel) is None
+                      for rel in source_plane.relation_polys()):
+        raise InconsistentConvention(
+            f"a relation of {source_plane.label!r} mixes parities, so no Koszul "
+            "sign moves an entry past it")
 
-    gens = list(entries) + list(source_plane.generators)
-    w = Poly.word
-    rels = source_plane.relation_polys()
-    for coord in source_plane.generators:
-        for ename, eparity in entries:
-            if convention == "koszul" and coord.parity and eparity:
-                sign = -ONE
-            else:
-                sign = ONE
-            rels.append(w(coord.name, ename) - w(ename, coord.name, coeff=sign))
-    combined = build_presentation(
-        f"derive({source_plane.label}->{target_plane.label})", gens, rels)
-
-    # transformed coordinates: row i of the entry matrix applied to the
-    # source coordinate column vector
-    matrix = [[entry_names[0], entry_names[1]], [entry_names[2], entry_names[3]]]
-    transformed = [
-        Poly.word(matrix[i][0], coord_names[0]) + Poly.word(matrix[i][1], coord_names[1])
-        for i in range(2)
-    ]
-
-    target_names = [g.name for g in target_plane.generators]
+    # target coordinate i -> row i of the matrix, as (entry, source
+    # coordinate) pairs
+    rows = {target.name: tuple(zip(entries[2 * i:2 * i + 2], source_plane.generators))
+            for i, target in enumerate(target_plane.generators)}
     derived: list[Poly] = []
     for rule in target_plane.rules:
-        relation = rule.as_relation()
-        image = Poly.zero()
-        for word, coeff in relation.terms.items():
-            factor = Poly.unit(coeff)
-            for letter in word:
-                factor = factor * transformed[target_names.index(letter)]
-            image = image + factor
-        nf = normal_form(image, combined)
+        # coordinate word -> entry word -> coefficient, before and after the
+        # coordinate words are reduced
+        image: dict[Word, dict[Word, RatFunc]] = {}
+        for word, coeff in rule.as_relation().terms.items():
+            for picks in itertools.product(*(rows[letter] for letter in word)):
+                # move each coordinate right of the entries picked after it
+                c, odd_after = coeff, 0
+                for (_, t_parity), (_, x_parity) in reversed(picks):
+                    if koszul and x_parity and odd_after:
+                        c = -c
+                    odd_after ^= t_parity
+                heads = image.setdefault(tuple(x for _, (x, _) in picks), {})
+                add_scaled(heads, {tuple(t for (t, _), _ in picks): c}, ONE)
         by_coord: dict[Word, dict[Word, RatFunc]] = {}
-        for word, coeff in nf.terms.items():
-            head = tuple(g for g in word if g in entry_set)
-            tail = tuple(g for g in word if g not in entry_set)
-            if head + tail != word:
-                raise InconsistentConvention(
-                    "normal form did not separate entries from coordinates")
-            by_coord.setdefault(tail, {})[head] = coeff
+        for tail, heads in image.items():
+            for normal, coeff in normal_form(Poly.word(*tail), source_plane).terms.items():
+                add_scaled(by_coord.setdefault(normal, {}), heads, coeff)
         for tail, entry_terms in sorted(by_coord.items()):
             poly = Poly(entry_terms)
             if poly.is_zero:

@@ -540,14 +540,15 @@ def closed_power(exponent: int) -> AlgMatrix:
         d_head * _word_power(("c", "b"), n - 1)], pres)
 
 
-def power_relations_check(exponent: int) -> Report:
+def power_relations_check(exponent: int, power: AlgMatrix | None = None) -> Report:
     """The entries of the exponent-th power satisfy the deformed relations
     at the effective parameters (p^e, q^e): the full supermatrix family for
-    odd e, the even-diagonal family for even e."""
+    odd e, the even-diagonal family for even e.  `power` is that power, as
+    closed_power(exponent) builds it when it is not given."""
     if exponent < 1:
         raise ValueError("exponent must be positive")
     pres = preset("gr11")
-    cp = closed_power(exponent)
+    cp = closed_power(exponent) if power is None else power
     if exponent % 2:
         kind, ref = "diag_odd", "odd power lies in the deformed dual supermatrix family"
     else:

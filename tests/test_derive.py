@@ -2,9 +2,22 @@
 
 import pytest
 
+from grasspq.coeff import P
 from grasspq.errors import InconsistentConvention
-from grasspq.freealg import derive_relations, preset
+from grasspq.freealg import (
+    EVEN,
+    ODD,
+    Poly,
+    Presentation,
+    RewriteRule,
+    build_presentation,
+    derive_relations,
+    overlap_check,
+    preset,
+)
 from grasspq.matops import span_equal
+
+w = Poly.word
 
 
 def test_all_odd_matrix_between_planes_recovers_grassmann_relations():
@@ -69,3 +82,25 @@ def test_unknown_convention_rejected():
     with pytest.raises(ValueError):
         derive_relations(preset("plane_p20"), preset("plane_q02"), "all_odd",
                          convention="mystery")
+
+
+@pytest.mark.parametrize("kind", ["diag_odd", "all_odd"])
+def test_a_parity_mixed_source_plane_is_refused_under_koszul(kind):
+    # x*x = xi*x has an even and an odd side, so no sign moves an entry past
+    # it; completing the entries and this plane together runs into MAX_RULES
+    # under diag_odd and collapses to two relations under all_odd
+    mixed = build_presentation("mixed", [("x", EVEN), ("xi", ODD)], [w("x", "x") - w("xi", "x")])
+    with pytest.raises(InconsistentConvention, match="mixes parities"):
+        derive_relations(mixed, preset("plane_p20"), kind)
+    # without signs the relation moves past an entry as it is
+    assert derive_relations(mixed, preset("plane_p20"), kind, convention="commute")
+
+
+def test_a_non_confluent_source_plane_is_refused():
+    # y*y*x rewrites to x^3 through y*y and to p^2 x^3 through y*x
+    skew = Presentation("skew", [("x", EVEN), ("y", EVEN)], [
+        RewriteRule(("y", "y"), w("x", "x")), RewriteRule(("y", "x"), w("x", "y", coeff=P))])
+    assert not overlap_check(skew).passed
+    for convention in ("koszul", "commute"):
+        with pytest.raises(InconsistentConvention, match="not confluent"):
+            derive_relations(skew, preset("plane_p20"), "all_even", convention)

@@ -471,14 +471,68 @@ def recorded_builds(monkeypatch, make):
     return calls
 
 
+def reference_derive(source_plane, target_plane, entry_parity="all_odd",
+                     convention="koszul"):
+    """derive_relations as it was before the direct expansion: each image
+    is reduced in one presentation of the entries, the source coordinates
+    and the cross rules x*t -> (+-) t*x, built and completed by
+    freealg.build_presentation, and its terms are grouped by coordinate
+    word.  The reference for test_derivation_matches_the_reference."""
+    entries = ENTRY_LAYOUTS[entry_parity]
+    names = [name for name, _ in entries]
+    rels = source_plane.relation_polys()
+    for coord in source_plane.generators:
+        for name, parity in entries:
+            sign = -ONE if convention == "koszul" and coord.parity and parity else ONE
+            rels.append(w(coord.name, name) - w(name, coord.name, coeff=sign))
+    combined = freealg.build_presentation(
+        f"derive({source_plane.label}->{target_plane.label})",
+        list(entries) + list(source_plane.generators), rels)
+    x1, x2 = (gen.name for gen in source_plane.generators)
+    images = {gen.name: w(names[2 * i], x1) + w(names[2 * i + 1], x2)
+              for i, gen in enumerate(target_plane.generators)}
+    derived = []
+    for rule in target_plane.rules:
+        image = Poly.zero()
+        for word, coeff in rule.as_relation().terms.items():
+            term = Poly.unit(coeff)
+            for letter in word:
+                term = term * images[letter]
+            image = image + term
+        by_coord = {}
+        for word, coeff in normal_form(image, combined).terms.items():
+            head = tuple(letter for letter in word if letter in names)
+            assert word[:len(head)] == head, "entries must come first"
+            by_coord.setdefault(word[len(head):], {})[head] = coeff
+        for _, entry_terms in sorted(by_coord.items()):
+            poly = Poly(entry_terms)
+            assert () not in poly.terms
+            if not any((poly - seen).is_zero for seen in derived):
+                derived.append(poly)
+    return derived
+
+
+PLANES = ("plane_p20", "plane_q02", "plane_p11", "plane_q11_dual")
+
+
+@pytest.mark.parametrize("convention", ["koszul", "commute"])
+@pytest.mark.parametrize("kind", sorted(ENTRY_LAYOUTS))
+def test_derivation_matches_the_reference(kind, convention):
+    for source, target in itertools.product(PLANES, repeat=2):
+        got = derive_relations(preset(source), preset(target), kind, convention)
+        want = reference_derive(preset(source), preset(target), kind, convention)
+        assert len(got) == len(want), (source, target)
+        assert all(a == b for a, b in zip(got, want)), (source, target)
+
+
 def _derivations():
     pairs = [("plane_p20", "plane_q02", "all_odd"), ("plane_q02", "plane_p20", "all_odd"),
              ("plane_p11", "plane_q11_dual", "diag_odd"),
              ("plane_q11_dual", "plane_p11", "diag_odd"), ("plane_p20", "plane_p20", "all_even")]
     for source, target, kind in pairs:
-        derived = derive_relations(preset(source), preset(target), kind)
-        build_presentation(f"derived:{kind}", ENTRY_LAYOUTS[kind], derived)
-    derive_relations(preset("plane_p11"), preset("plane_q11_dual"), "diag_odd",
+        derived = reference_derive(preset(source), preset(target), kind)
+        freealg.build_presentation(f"derived:{kind}", ENTRY_LAYOUTS[kind], derived)
+    reference_derive(preset("plane_p11"), preset("plane_q11_dual"), "diag_odd",
                      convention="commute")
 
 

@@ -73,6 +73,13 @@ def test_power_relations_hold(exponent):
     assert report.passed, report.to_text()
 
 
+def test_power_relations_check_reads_a_given_power():
+    # a built power gives the same report; another matrix is checked as it is
+    assert (power_relations_check(3, closed_power(3)).signature()
+            == power_relations_check(3).signature())
+    assert not power_relations_check(3, closed_power(1)).passed
+
+
 def test_power_relations_at_exponent_one_are_the_base_relations(gr11):
     # definitional: the exponent-1 family is the defining relation set
     report = power_relations_check(1)

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from grasspq import matops, verify
 from grasspq.coeff import ONE, P
 from grasspq.freealg import preset
+from grasspq.matops import closed_power
 from grasspq.verify import (
     DEFAULT_SEED,
     MUTATIONS,
@@ -51,6 +53,19 @@ def test_suite_powers_passes_up_to_exponent_32():
     report = suite_powers(16)
     assert report.passed, report.to_text()
     assert "closed_vs_iterated_e32" in {c.name for c in report.checks}
+
+
+def test_suite_powers_builds_each_closed_power_once(monkeypatch):
+    built = []
+
+    def counting(exponent):
+        built.append(exponent)
+        return closed_power(exponent)
+
+    monkeypatch.setattr(verify, "closed_power", counting)
+    monkeypatch.setattr(matops, "closed_power", counting)
+    assert suite_powers(3).passed
+    assert built == [1, 2, 3, 4, 5, 6]
 
 
 def test_suite_all_is_the_conjunction(gr2_report, gr11_report, powers_report):
