@@ -5,19 +5,20 @@ Words are tuples of generator names; a polynomial maps words to nonzero
 coefficients.  A presentation fixes a generator order and a confluent set
 of oriented rules.  normal_form builds the normal form of a word one letter
 at a time, NF(x1...xn) = NF(NF(x1...xn-1)*xn): since the prefix is
-normal, every redex ends at the junction, and the results are cached on
-(normal word, letter).  The same map memoises each input word w under
-(w[:-1], w[-1]), so a repeated word costs one lookup.  In a confluent
-system any reduction order gives the same normal form (Bergman's diamond
-lemma), so this equals the leftmost normal form.  Local confluence is
-checked by resolving every overlap ambiguity of rule left-hand sides
-(diamond lemma); the localized presentation is finished by bounded
+normal, every redex ends at the junction.  A presentation keeps, for its
+lifetime, one map word -> normal form of at most MAX_CACHED entries: the
+junctions and input words met.  Any reduction order of a confluent system
+gives the same normal form (Bergman's diamond lemma), so an entry depends
+on the rules alone and is the leftmost normal form.  Local
+confluence is checked by resolving every overlap ambiguity of rule
+left-hand sides; the localized presentation is finished by bounded
 completion.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
@@ -35,9 +36,7 @@ from .errors import (
 from .reporting import Check, Report, truncate_poly_text
 
 Word = tuple[str, ...]
-# (word v, letter x) -> NF(v*x): v is normal for a junction of the fold,
-# and any word for a memoised input word v*x
-Junctions = dict[tuple[Word, str], dict[Word, RatFunc]]
+NormalForms = dict[Word, dict[Word, RatFunc]]  # word u -> NF(u)
 
 EVEN, ODD = 0, 1
 
@@ -49,6 +48,7 @@ Generator = namedtuple("Generator", "name parity")  # parity 0 even, 1 odd
 MAX_WORD_LENGTH = 64  # default cap on the length of a word rewriting makes
 MAX_STEPS = 2_000_000  # one normal_form call raises DegreeCapExceeded past this
 MAX_RULES = 64  # completion raises CompletionOverflow past this many rules
+MAX_CACHED = 1 << 15  # entries a presentation's normal-form map holds at most
 
 
 class Poly:
@@ -190,7 +190,9 @@ class Presentation:
     """Ordered graded generators plus an oriented, inter-reduced rule set.
 
     `generators` are (name, parity) pairs, in increasing monomial order;
-    no word that rewriting makes may be longer than `max_word_length`."""
+    no word that rewriting makes may be longer than `max_word_length`.
+    For its lifetime it keeps the map word -> normal form that
+    `normal_form` fills, of at most MAX_CACHED entries."""
 
     def __init__(self, label: str, generators: Iterable[tuple[str, int]],
                  rules: Sequence[RewriteRule], *, order: str = "deglex",
@@ -214,10 +216,8 @@ class Presentation:
         for r in self.rules:
             self._by_first.setdefault(r.lhs[0], []).append(r)
         self._longest_lhs = max((len(r.lhs) for r in self.rules), default=0)
-        # (word v, letter x) -> normal form of v*x, for junctions and input
-        # words; an entry is never mutated once published, and entries are
-        # published only when complete
-        self._junctions: Junctions = {}
+        self._normal_forms: NormalForms = {}  # entries never change once published
+        self._publishing = threading.Lock()  # held while a call checks the bound and publishes
 
     # -- order -------------------------------------------------------------
 
@@ -282,7 +282,7 @@ class Presentation:
     def with_rules(self, rules: Sequence[RewriteRule], *, label: str | None = None,
                    completion_added: int = 0) -> Presentation:
         """The same generators, order, weights, inverses and word cap with
-        another rule set (and a cold normal-form cache)."""
+        another rule set, and an empty normal-form map."""
         return Presentation(self.label if label is None else label,
                             self.generators, rules, order=self.order,
                             negative_weight=self.negative_weight,
@@ -299,25 +299,18 @@ def normal_form(poly: Poly, pres: Presentation, *, strategy: str = "leftmost") -
     canonical representative modulo the two-sided ideal of relations.
 
     The default strategy folds each word letter by letter onto normal
-    words (see the module docstring) through the presentation's (word,
-    letter) cache, which also memoises each input word.  "rightmost" and
-    "oddfirst" rewrite the whole polynomial without the cache, as an
+    words (see the module docstring) through the presentation's map word
+    -> normal form, so a repeated word costs one lookup.  "rightmost" and
+    "oddfirst" rewrite the whole polynomial without the map, as an
     independent oracle for path independence."""
     pres.validate(poly)
     if strategy != "leftmost":
         return _worklist_normal_form(poly, pres, strategy)
-    cache = pres._junctions
-    fresh: Junctions = {}
-    memo: Junctions = {}  # input words, which never count as steps
+    cache = pres._normal_forms
+    fresh: NormalForms = {}
     result: dict[Word, RatFunc] = {}
     for w, c in poly.terms.items():
-        if not w:
-            add_scaled(result, {w: ONE}, c)
-            continue
-        # an input word is memoised under (w[:-1], w[-1]), which is its
-        # last junction when w[:-1] is normal
-        key = w[:-1], w[-1]
-        nf = cache.get(key)
+        nf = cache.get(w)
         if nf is None:
             # the letters before the leftmost redex are a normal word
             hit = pres.find_reduction(w)
@@ -325,40 +318,45 @@ def normal_form(poly: Poly, pres: Presentation, *, strategy: str = "leftmost") -
                 nf = {w: ONE}
             else:
                 nf = _drive(_fold({w[:hit[0]]: ONE}, w[hit[0]:], pres, fresh), pres, fresh)
-            memo[key] = nf
+            fresh[w] = nf
         add_scaled(result, nf, c)
-    # publish only after the whole call succeeded, so a raise leaves no trace
-    cache.update(fresh)
-    cache.update(memo)
+    # publish only after the whole call succeeded, so a raise leaves no
+    # trace; a call that would overfill the map empties it first, and one
+    # with more new entries than the bound publishes none
+    if len(fresh) <= MAX_CACHED:
+        with pres._publishing:
+            if len(cache) + len(fresh) > MAX_CACHED:
+                cache.clear()
+            cache.update(fresh)
     return Poly(result)
 
 
-def _drive(root, pres: Presentation, fresh: Junctions) -> dict[Word, RatFunc]:
-    """Run a fold, computing each (normal word, letter) key it misses into
-    `fresh` on one explicit stack of generators, so there is no recursion.
-    A miss counts against `MAX_STEPS` (the call's misses so far are the
-    keys in `fresh` or pending); a key missed again while pending raises,
-    since the `invweight` order is not well-founded."""
+def _drive(root, pres: Presentation, fresh: NormalForms) -> dict[Word, RatFunc]:
+    """Run a fold, computing each word it misses into `fresh` on one
+    explicit stack of generators, so there is no recursion.  The call's
+    new entries so far, in `fresh` or pending, count against `MAX_STEPS`;
+    a word missed again while pending raises, since the `invweight` order
+    is not well-founded."""
     stack = [root]
-    pending: dict[tuple[Word, str], None] = {}  # keys of the frames above the root
+    pending: dict[Word, None] = {}  # the words of the frames above the root
     value = None
     while True:
         try:
-            key = stack[-1].send(value)
+            u = stack[-1].send(value)
         except StopIteration as done:
             stack.pop()
             if not stack:
                 return done.value
             fresh[pending.popitem()[0]] = value = done.value
             continue
-        if key in pending:
-            raise DegreeCapExceeded(f"word {_word_str(key[0] + (key[1],))} recurs "
-                                    f"on its own reduction path in {pres.label!r}")
+        if u in pending:
+            raise DegreeCapExceeded(
+                f"word {_word_str(u)} recurs on its own reduction path in {pres.label!r}")
         if len(fresh) + len(pending) >= MAX_STEPS:
             raise DegreeCapExceeded(
                 f"reduction in {pres.label!r} exceeded {MAX_STEPS} steps")
-        stack.append(_junction(*key, pres, fresh))
-        pending[key] = None
+        stack.append(_junction(u, pres, fresh))
+        pending[u] = None
         value = None
 
 
@@ -393,29 +391,30 @@ def _rewrite_at(w: Word, pos: int, rule: RewriteRule,
     return out
 
 
-def _fold(state: dict[Word, RatFunc], letters: Word, pres: Presentation, fresh: Junctions):
+def _fold(state: dict[Word, RatFunc], letters: Word, pres: Presentation, fresh: NormalForms):
     """Fold letters one at a time onto a combination of normal words;
-    yields each (normal word, letter) whose normal form is neither cached
-    nor in `fresh`, and returns the folded combination."""
-    cache = pres._junctions
+    yields each junction v*x (v normal) whose normal form is neither in
+    the map nor in `fresh`, and returns the folded combination."""
+    cache = pres._normal_forms
     for x in letters:
         folded: dict[Word, RatFunc] = {}
         for v, c in state.items():
-            nf = cache.get((v, x))
+            u = v + (x,)
+            nf = cache.get(u)
             if nf is None:
-                nf = fresh.get((v, x))
+                nf = fresh.get(u)
                 if nf is None:
-                    nf = yield v, x
+                    nf = yield u
             add_scaled(folded, nf, c)
         state = folded
     return state
 
 
-def _junction(v: Word, x: str, pres: Presentation, fresh: Junctions):
-    """The normal form of v*x for a normal word v: every redex ends at x,
-    so only the last (longest lhs) letters are scanned, and each rewritten
-    word is folded back onto the normal prefix before the redex."""
-    u = v + (x,)
+def _junction(u: Word, pres: Presentation, fresh: NormalForms):
+    """The normal form of a word u whose prefix u[:-1] is normal: every
+    redex ends at its last letter, so only the last (longest lhs) letters
+    are scanned, and each rewritten word is folded back onto the normal
+    prefix before the redex."""
     hit = pres.find_reduction(u, start=max(0, len(u) - pres._longest_lhs))
     if hit is None:
         return {u: ONE}
@@ -604,8 +603,8 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
         if best is None and len(new) < len(keys):
             best = smallest_unresolved(keys, pres)
         if best is None:
-            # a cold copy: the words met resolving ambiguities need not
-            # live as long as the presentation
+            # a copy with an empty normal-form map, so the words met
+            # resolving ambiguities do not live as long as the result
             return skeleton.with_rules(rules, completion_added=added)
         if len(rules) >= MAX_RULES:
             raise CompletionOverflow(

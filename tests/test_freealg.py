@@ -45,6 +45,7 @@ from grasspq.freealg import (
     specialize_presentation,
 )
 from grasspq.reporting import Check
+from grasspq.verify import suite_all
 
 w = Poly.word
 g = Poly.gen
@@ -124,8 +125,8 @@ def test_generator_mismatch_raises():
 
 def test_degree_cap_guard():
     # x -> y*x grows by one letter per fold step without revisiting a
-    # pending (word, letter) key; the cap must trip, not loop, and trip
-    # again on repeat, since a failed call leaves nothing in the cache
+    # pending word; the cap must trip, not loop, and trip again on
+    # repeat, since a failed call leaves nothing in the map
     grow = Presentation(
         "grow", preset("plane_p20").generators,
         [RewriteRule(("x",), w("y", "x"))],
@@ -135,10 +136,10 @@ def test_degree_cap_guard():
             normal_form(g("x"), grow)
 
 
-# -- the junction cache ---------------------------------------------------------
+# -- the normal-form map --------------------------------------------------------
 
 def cold_copy(pres, max_word_length=None):
-    """Same rules and order as pres, with an empty junction cache."""
+    """Same rules and order as pres, with an empty normal-form map."""
     return Presentation(pres.label, pres.generators, pres.rules, order=pres.order,
                         negative_weight=pres.negative_weight, inverses=pres.inverses,
                         max_word_length=max_word_length or pres.max_word_length)
@@ -215,15 +216,61 @@ def test_a_failed_call_publishes_no_memo_entry():
     # end of the third rewrites to words past the cap
     pres = cold_copy(preset("gr11"), max_word_length=4)
     normal_form(w("c", "b"), pres)
-    before = dict(pres._junctions)
+    before = dict(pres._normal_forms)
     poly = w("alpha", "b") + w("b", "alpha") + w("c", "c", "c", "c", "b")
     for _ in range(2):
         with pytest.raises(DegreeCapExceeded, match="exceeds the cap 4"):
             normal_form(poly, pres)
-        assert pres._junctions == before
+        assert pres._normal_forms == before
     # the same terms alone succeed and are published
     assert normal_form(w("alpha", "b") + w("b", "alpha"), pres) == w("alpha", "b", coeff=ONE + P)
-    assert {(("alpha",), "b"), (("b",), "alpha")} <= pres._junctions.keys()
+    assert {("alpha", "b"), ("b", "alpha")} <= pres._normal_forms.keys()
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_the_normal_form_map_stays_within_its_bound(name, rng, monkeypatch):
+    # against a bound of 50, a call that would overfill the map empties it
+    # first; every result still matches the uncached oracles
+    monkeypatch.setattr(freealg, "MAX_CACHED", 50)
+    oracles = ("oddfirst",) if name == "gr11_localized" else ("rightmost", "oddfirst")
+    pres = cold_copy(preset(name))
+    emptied = False
+    for word in random_words(rng, pres, 300):
+        size = len(pres._normal_forms)
+        poly = Poly({word: P - Q})
+        got = normal_form(poly, pres)
+        assert len(pres._normal_forms) <= 50
+        emptied |= len(pres._normal_forms) < size
+        assert all((got - normal_form(poly, pres, strategy=s)).is_zero for s in oracles), word
+    assert emptied
+
+
+def test_a_call_with_more_new_entries_than_the_bound_publishes_none(monkeypatch):
+    # (c*b)^3 takes 49 misses
+    pres = cold_copy(preset("gr11"))
+    normal_form(w("alpha", "b"), pres)
+    before = dict(pres._normal_forms)
+    monkeypatch.setattr(freealg, "MAX_CACHED", 20)
+    word = w(*("c", "b") * 3)
+    assert normal_form(word, pres) == normal_form(word, pres, strategy="oddfirst")
+    assert pres._normal_forms == before
+
+
+def test_every_entry_of_every_preset_map_is_the_normal_form_of_its_word(rng):
+    # a map keyed by words says which word each entry belongs to, so the
+    # entries that no output read are checked as well.  The maps start
+    # empty, as the bound may leave them, so that the words other tests
+    # met (such as (b*c)^32, on which the oracle passes MAX_STEPS) are not
+    # audited here
+    for name in PRESET_NAMES:
+        preset(name)._normal_forms.clear()
+    suite_all(3)
+    for name in PRESET_NAMES:
+        pres = preset(name)
+        for word in random_words(rng, pres, 60):
+            normal_form(Poly({word: ONE}), pres)
+        for u, nf in pres._normal_forms.items():
+            assert Poly(nf) == normal_form(Poly({u: ONE}), pres, strategy="oddfirst"), (name, u)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -240,13 +287,20 @@ def test_cached_leftmost_agrees_with_uncached_oracles(name, rng):
             assert all((got - e).is_zero for e in expected), word
 
 
-def test_threads_sharing_a_cold_preset_agree(rng):
+def test_threads_sharing_a_cold_preset_agree(rng, monkeypatch):
+    # against a bound of 50 the map is emptied again and again while other
+    # threads read it, and no publishing thread may take it past the bound
+    monkeypatch.setattr(freealg, "MAX_CACHED", 50)
     pres = cold_copy(preset("gr11_localized"))
     words = random_words(rng, pres, 80)
+    sizes = []
 
     def reduce_all(order):
-        return [format_poly(normal_form(Poly({words[i]: ONE}), pres), pres)
-                for i in order]
+        out = []
+        for i in order:
+            out.append(format_poly(normal_form(Poly({words[i]: ONE}), pres), pres))
+            sizes.append(len(pres._normal_forms))
+        return out
 
     forward = list(range(len(words)))
     half = len(words) // 2
@@ -261,6 +315,7 @@ def test_threads_sharing_a_cold_preset_agree(rng):
         sys.setswitchinterval(switch)
     by_word = [dict(zip(order, out)) for order, out in zip(orders, results)]
     assert all(d == by_word[0] for d in by_word)
+    assert max(sizes) <= 50
     alone = cold_copy(preset("gr11_localized"))
     assert by_word[0] == {i: format_poly(normal_form(Poly({words[i]: ONE}), alone), alone)
                           for i in range(len(words))}

@@ -67,7 +67,9 @@ def test_squaring_power_matches_iterated_product_and_closed_form(gr11):
         assert squared == closed_power(exponent)
 
 
-@pytest.mark.parametrize("exponent", range(1, 7))
+# from e = 33 on, the family products of the entries are 2e letters long,
+# past gr11's cap of 64; they reduce because no input word is held to it
+@pytest.mark.parametrize("exponent", [*range(1, 7), 33, 42])
 def test_power_relations_hold(exponent):
     report = power_relations_check(exponent)
     assert report.passed, report.to_text()
