@@ -13,14 +13,15 @@ Uses only the standard library, git and the checkout's own benchmark:
 - per layer: the rows of one `perfbench/run.py --trace 1` run per workload;
 - CLI wall time, REPEATS fresh processes each: a cold `reduce` on `gr2`
   and on `gr11_localized` (which pays that preset's completion),
-  `verify --suite all` and `power --n 64 --closed-form`;
+  `verify --suite all`, `verify --suite faults` and
+  `power --n 64 --closed-form`;
 - the Python version, the machine, and the commit (with a flag when the
   tree has uncommitted changes).
 
 Run it from anywhere; --root (default: the current directory) names the
 checkout to measure.  --base REV also measures the commit REV of that
-checkout, checked out with `git worktree add` into a temporary directory
-that is removed afterwards: every base run sits next to the head run of
+checkout, exported with `git archive` into a temporary directory that is
+removed afterwards: every base run sits next to the head run of
 the same workload and repeat, the first of the two swapping every repeat,
 and the base rows go under "base" in the same file, so the file holds
 both numbers of a before/after pair taken alike.
@@ -47,6 +48,7 @@ CLI_COMMANDS = {
     # builds gr11_localized, so it pays that preset's completion
     "cold_start_reduce_localized": ["reduce", "--preset", "gr11_localized", "b*binv"],
     "verify_suite_all": ["verify", "--suite", "all"],
+    "verify_suite_faults": ["verify", "--suite", "faults"],
     "power_64_closed_form": ["power", "--n", "64", "--closed-form"],
 }
 
@@ -94,7 +96,7 @@ def alternating(n: int, i: int) -> list[int]:
     return list(range(n)) if i % 2 == 0 else list(reversed(range(n)))
 
 
-def measure(roots: list[str], seed: int) -> list[dict]:
+def measure(roots: list[str], commits: list[str | None], seed: int) -> list[dict]:
     """The end-to-end, per-layer and CLI rows of each checkout, the
     checkouts alternating run by run."""
     runs = [{w: [] for w in WORKLOADS} for _ in roots]
@@ -102,8 +104,8 @@ def measure(roots: list[str], seed: int) -> list[dict]:
         for workload in (WORKLOADS if i % 2 == 0 else WORKLOADS[::-1]):
             for k in alternating(len(roots), i):
                 runs[k][workload].append(bench_run(roots[k], workload, seed, 0))
-    rows = [{"commit": git(root, "rev-parse", "HEAD"), "end_to_end": {},
-             "per_layer": {}, "cli_wall_s": {}} for root in roots]
+    rows = [{"commit": commit, "end_to_end": {}, "per_layer": {}, "cli_wall_s": {}}
+            for commit in commits]
     for row, by_workload in zip(rows, runs):
         for workload, results in by_workload.items():
             metrics = {name: dict(summary([r["metrics"][name]["value"] for r in results]),
@@ -136,19 +138,17 @@ def main(argv=None) -> int:
 
     order = "workloads alternate, the first swapping every repeat"
     with tempfile.TemporaryDirectory() as tmp:
-        roots = [root]
+        roots, commits = [root], [git(root, "rev-parse", "HEAD")]
         if args.base:
             base_root = os.path.join(tmp, "base")
-            subprocess.run(["git", "-C", root, "worktree", "add", "--detach", base_root,
-                            args.base], check=True, capture_output=True)
+            os.mkdir(base_root)
+            archive = subprocess.run(["git", "-C", root, "archive", args.base],
+                                     check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", base_root], input=archive, check=True)
             roots.append(base_root)
+            commits.append(git(root, "rev-parse", args.base))
             order += "; base and head runs alternate, the first swapping every repeat"
-        try:
-            rows = measure(roots, seed)
-        finally:
-            if args.base:
-                subprocess.run(["git", "-C", root, "worktree", "remove", "--force",
-                                base_root], check=True)
+        rows = measure(roots, commits, seed)
     head = rows[0]
     snapshot = {
         "commit": head["commit"],

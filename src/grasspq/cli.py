@@ -203,6 +203,39 @@ def _longest(terms: dict[Word, RatFunc]) -> int:
     return max(map(len, terms), default=0)
 
 
+# The widest p- and q-degree span a scalar product or power in an input may
+# reach.  The closed matrix powers reach span 63 at the default word cap.
+MAX_COEFF_SPAN = 64
+
+
+def _hold_span(*factors: dict[Word, RatFunc], times: int = 1) -> None:
+    """A scalar product or power is held to MAX_COEFF_SPAN before it is
+    formed, as _hold_length holds words: the widest p- and q-degree spans
+    among each factor's coefficients are added (and times |n| for a
+    power).  A coefficient num/den spans the exponent range of num plus
+    that of den, so a monomial spans nothing."""
+    p_span = q_span = 0
+    for terms in factors:
+        widest_p = widest_q = 0
+        for c in terms.values():
+            num, den = c.num.terms, c.den.terms
+            if len(num) == 1 and len(den) == 1:
+                continue
+            c_p = c_q = 0
+            for part in (num, den):
+                ps, qs = zip(*part)
+                c_p += max(ps) - min(ps)
+                c_q += max(qs) - min(qs)
+            widest_p = max(widest_p, c_p)
+            widest_q = max(widest_q, c_q)
+        p_span += widest_p * times
+        q_span += widest_q * times
+    for name, span in (("p", p_span), ("q", q_span)):
+        if span > MAX_COEFF_SPAN:
+            raise DegreeCapExceeded(f"input coefficient of {name}-degree span {span} "
+                                    f"exceeds the bound {MAX_COEFF_SPAN}")
+
+
 def _eval(node: tuple, pres: Presentation) -> dict[Word, RatFunc]:
     tag = node[0]
     if tag == "gen":
@@ -223,6 +256,7 @@ def _eval(node: tuple, pres: Presentation) -> dict[Word, RatFunc]:
         divisor = _scalar_of(right)
         if divisor is None:
             raise NegativePowerOfNonInvertible("division only by scalar coefficients")
+        _hold_span(left, right)
         inverse = divisor.inv()
         return {w: c * inverse for w, c in left.items()}
     if tag == "-":
@@ -248,12 +282,14 @@ def _product_chain(node: tuple, pres: Presentation) -> dict[Word, RatFunc]:
         else:
             right = _eval(factor, pres)
             _hold_length(_longest(acc) + _longest(right), pres)
+            _hold_span(acc, right)
             acc = product_terms(acc, right)
     return acc
 
 
 def _power(base_node: tuple, n: int, pres: Presentation) -> dict[Word, RatFunc]:
     base = _eval(base_node, pres)
+    _hold_span(base, times=abs(n))
     if n >= 0:
         _hold_length(_longest(base) * n, pres)
         out = {(): ONE}

@@ -208,35 +208,16 @@ def tensor_graded(a: AlgMatrix, slot: int) -> AlgMatrix:
 
 
 def rhat(x: RatFunc) -> tuple[tuple[RatFunc, ...], ...]:
-    """The rows of the 4x4 deformation R-matrix in the (ij),(kl) labeling,
-    assembled from its rank-one building blocks: (p + q^-1) on the
-    diagonal sectors, 2x(pq^-1)^(i-1) on the mixed diagonal, +-(p - q^-1)
-    on the middle antidiagonal."""
-    zero = RatFunc.zero()
-    entries = [[zero for _ in range(4)] for _ in range(4)]
-
-    def add(r, c, val):
-        entries[r][c] = entries[r][c] + val
-
-    # e^k1_l1 (x) e^k2_l2 occupies row (k1 k2), col (l1 l2)
-    two_x = RatFunc.const(2) * x
-    for i in range(2):
-        add(3 * i, 3 * i, P + Q**-1)
-    for i in range(2):
-        for j in range(2):
-            if i == j:
-                continue
-            add(2 * i + j, 2 * i + j, two_x * (P * Q**-1) ** i)
-    for i in range(2):
-        for j in range(2):
-            if i == j:
-                continue
-            sign = ONE if i > j else -ONE
-            # e^i_j (x) e^j_i occupies row (ij), col (ji)
-            r = 2 * i + j
-            c = 2 * j + i
-            add(r, c, (P - Q**-1) * sign)
-    return tuple(map(tuple, entries))
+    """The rows of the 4x4 deformation R-matrix in the (ij),(kl) labeling:
+    (p + q^-1) on the diagonal sectors (11),(11) and (22),(22),
+    2x(pq^-1)^(i-1) on the mixed diagonal (ij),(ij) with i != j, and
+    -+(p - q^-1) at (12),(21) and (21),(12)."""
+    zero, two_x = RatFunc.zero(), RatFunc.const(2) * x
+    outer, inner = P + Q**-1, P - Q**-1
+    return ((outer, zero, zero, zero),
+            (zero, two_x, -inner, zero),
+            (zero, inner, two_x * (P * Q**-1), zero),
+            (zero, zero, zero, outer))
 
 
 def rtt_residual(x: RatFunc, a: AlgMatrix, graded: bool) -> AlgMatrix:

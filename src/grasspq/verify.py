@@ -5,16 +5,18 @@ faults that the suites must catch."""
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import lru_cache
+from typing import NamedTuple
 
 from .coeff import ONE, P, Q, RatFunc, qnum
 from .freealg import (
+    ENTRY_LAYOUTS,
     Poly,
     Presentation,
     RewriteRule,
     derive_relations,
     family,
     format_poly,
-    free_algebra_on,
     irreducible_words,
     normal_form,
     overlap_check,
@@ -67,35 +69,68 @@ def _flatten(report: Report, sub: Report, prefix: str) -> None:
                      residual=witness, paper_ref=sub.suite))
 
 
-def _degeneration_check(pres: Presentation, build) -> Check:
-    """Specializing q := p in pres gives the rules `build` makes at (p, p)."""
-    spec = specialize_presentation(pres, {"q": P})
-    direct = build(P, P)
-    same = len(spec.rules) == len(direct.rules) and all(
-        r1.lhs == r2.lhs and (r1.rhs - r2.rhs).is_zero
-        for r1, r2 in zip(spec.rules, direct.rules))
-    return Check(name="degeneration_q_eq_p",
-                 status="pass" if same else "fail",
-                 paper_ref="q := p collapses to the one-parameter deformation")
+class Family(NamedTuple):
+    """A relation family's row: its R-matrix parameter, whether the RTT
+    legs are graded, the planes it is derived from, its builder at (p, q),
+    and the RTT soundness check's name and paper_ref."""
+    x: RatFunc
+    graded: bool
+    planes: tuple[str, str]
+    build: Callable[[RatFunc, RatFunc], Presentation]
+    soundness: str
+    soundness_ref: str
 
 
-def _family_checks(report: Report, pres: Presentation, kind: str, x: RatFunc,
-                   planes: tuple[str, str], build) -> None:
-    """The checks both matrix families share: the RTT residual entries of
-    the generic matrix over the free algebra span the relations, so do the
-    relations derived from the plane endomorphisms both ways, and q := p
-    gives the one-parameter family.  The all-odd matrix is embedded
-    ungraded, the dual supermatrix graded."""
-    free = free_algebra_on(pres)
-    residual = rtt_residual(x, generic_matrix(kind, free), graded=kind != "all_odd")
-    entries = [e for e in residual.entries if not e.is_zero]
-    _flatten(report, span_equal(entries, pres.relation_polys(), seed=report.seed,
-                                label=f"{report.suite}-rtt"), "rtt_completeness")
-    one, other = (preset(name) for name in planes)
+FAMILIES = {
+    "all_odd": Family(ONE, False, ("plane_p20", "plane_q02"), build_gr2, "rtt_soundness",
+                      "R(1) A1 A2 + A2 A1 R(1) = 0 over the quotient"),
+    "diag_odd": Family(-ONE, True, ("plane_p11", "plane_q11_dual"), build_gr11,
+                       "rtt_soundness_graded",
+                       "R(-1) M1 M2 + M2 M1 R(-1) = 0 with graded embeddings"),
+}
+
+
+@lru_cache(maxsize=None)
+def rtt_entries(kind: str) -> tuple[Poly, ...]:
+    """The 16 RTT residual entries of the family's generic matrix over the
+    free algebra, unreduced; built once per process."""
+    fam = FAMILIES[kind]
+    free = Presentation(f"free({kind})", ENTRY_LAYOUTS[kind], ())
+    return rtt_residual(fam.x, generic_matrix(kind, free), fam.graded).entries
+
+
+@lru_cache(maxsize=None)
+def plane_references(kind: str) -> tuple[tuple[Poly, ...], Presentation]:
+    """The relations derived from the family's plane maps both ways, and
+    its one-parameter presentation build(p, p); built once per process."""
+    fam = FAMILIES[kind]
+    one, other = (preset(name) for name in fam.planes)
     derived = derive_relations(one, other, kind) + derive_relations(other, one, kind)
-    _flatten(report, span_equal(derived, pres.relation_polys(), seed=report.seed,
+    return tuple(derived), fam.build(P, P)
+
+
+def _family_checks(report: Report, pres: Presentation, kind: str) -> None:
+    """The checks both matrix families share, against the references of
+    FAMILIES[kind].  RTT soundness reduces the free-algebra residual
+    entries in pres, which is `rtt_residual` over pres because the normal
+    form is linear; the entries span the relations, so do the relations
+    derived from the plane maps both ways, and q := p in pres gives the
+    rules of build(p, p)."""
+    fam = FAMILIES[kind]
+    residual = rtt_entries(kind)
+    report.add(_matrix_residual_check(
+        fam.soundness, AlgMatrix(4, 4, residual, pres), fam.soundness_ref))
+    relations = pres.relation_polys()
+    _flatten(report, span_equal(residual, relations, seed=report.seed,
+                                label=f"{report.suite}-rtt"), "rtt_completeness")
+    derived, direct = plane_references(kind)
+    _flatten(report, span_equal(derived, relations, seed=report.seed,
                                 label=f"{report.suite}-derive"), "derivation_equivalence")
-    report.add(_degeneration_check(pres, build))
+    spec = specialize_presentation(pres, {"q": P})
+    same = [(r.lhs, r.rhs) for r in spec.rules] == [(r.lhs, r.rhs) for r in direct.rules]
+    report.add(Check(name="degeneration_q_eq_p",
+                     status="pass" if same else "fail",
+                     paper_ref="q := p collapses to the one-parameter deformation"))
 
 
 def suite_gr2(seed: int = DEFAULT_SEED, *, presentation: Presentation | None = None) -> Report:
@@ -130,11 +165,7 @@ def suite_gr2(seed: int = DEFAULT_SEED, *, presentation: Presentation | None = N
         "inverse_compatibility", compat_l - compat_r,
         "Delta_L * A_R^-1 = A_L^-1 * Delta_R"))
 
-    report.add(_matrix_residual_check(
-        "rtt_soundness", rtt_residual(ONE, a, graded=False),
-        "R(1) A1 A2 + A2 A1 R(1) = 0 over the quotient"))
-
-    _family_checks(report, pres, "all_odd", ONE, ("plane_p20", "plane_q02"), build_gr2)
+    _family_checks(report, pres, "all_odd")
     return report.finish()
 
 
@@ -170,12 +201,7 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
         "graded_tensor_slot2", tensor_graded(m, 2) - slot2_expected,
         "second graded embedding matches the explicit signed layout"))
 
-    report.add(_matrix_residual_check(
-        "rtt_soundness_graded", rtt_residual(-ONE, m, graded=True),
-        "R(-1) M1 M2 + M2 M1 R(-1) = 0 with graded embeddings"))
-
-    _family_checks(report, pres, "diag_odd", -ONE, ("plane_p11", "plane_q11_dual"),
-                   build_gr11)
+    _family_checks(report, pres, "diag_odd")
 
     ml = generic_gr11_localized(loc)
     minv = inverse11(ml)
@@ -204,14 +230,12 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
     report.add(residual_check("localization_reduction", red39, loc,
                               "b c^-1 = qp^-1 c^-1 b - (q - p^-1) c^-1 d a c^-1"))
     twist = P * Q**-1
+    central = []
     for gen_name in ("alpha", "delta", "b", "c"):
         gen = Poly.gen(gen_name)
         resid = normal_form(dl * gen - (gen * dl).scale(twist), loc)
         report.add(residual_check(f"sdet_twist_{gen_name}", resid, loc,
                                   "sdet g = pq^-1 g sdet"))
-    central = []
-    for gen_name in ("alpha", "delta", "b", "c"):
-        gen = Poly.gen(gen_name)
         comm = normal_form(dl * gen - gen * dl, loc)
         central.append(specialize(comm, {"q": P}).is_zero)
     report.add(Check(name="sdet_central_at_p_eq_q",
@@ -238,12 +262,8 @@ def suite_powers(max_n: int = 3, seed: int = DEFAULT_SEED) -> Report:
             f"closed_vs_iterated_e{e}", closed - acc,
             "closed-form entries equal the iterated product"))
         _flatten(report, power_relations_check(e, closed), f"relations_e{e}")
-    ok = True
-    t_candidates = (P * Q, (P * Q) ** 2, (P * Q) ** -1)
-    for t in t_candidates:
-        for n in range(0, 17):
-            if not (qnum(n, t) * (ONE - t) == ONE - t**n):
-                ok = False
+    ok = all(qnum(n, t) * (ONE - t) == ONE - t**n
+             for t in (P * Q, (P * Q) ** 2, (P * Q) ** -1) for n in range(17))
     report.add(Check(name="qnum_telescopes",
                      status="pass" if ok else "fail",
                      paper_ref="<n>_t (1 - t) = 1 - t^n"))
@@ -287,18 +307,14 @@ SUITES: dict[str, Callable[..., Report]] = {
 # ---------------------------------------------------------------------------
 
 
-class Mutation:
-    """A single-coefficient fault injected into a preset rule."""
-
-    __slots__ = ("name", "preset_name", "rule_lhs", "rhs_word", "factor")
-
-    def __init__(self, name: str, preset_name: str, rule_lhs: tuple[str, ...],
-                 rhs_word: tuple[str, ...], factor: RatFunc):
-        self.name = name
-        self.preset_name = preset_name
-        self.rule_lhs = rule_lhs
-        self.rhs_word = rhs_word
-        self.factor = factor  # multiply that coefficient by this
+class Mutation(NamedTuple):
+    """A single-coefficient fault injected into a preset rule: the rhs
+    coefficient of rhs_word in the rule with lhs rule_lhs times factor."""
+    name: str
+    preset_name: str
+    rule_lhs: tuple[str, ...]
+    rhs_word: tuple[str, ...]
+    factor: RatFunc
 
 
 MUTATIONS = (
@@ -336,27 +352,27 @@ def mutate_preset(mutation: Mutation) -> Presentation:
 
 
 def mutation_witness(mutation: Mutation) -> str | None:
-    """Run the cheap identity checks most sensitive to the touched rule;
-    returns a nonzero-residual witness when the fault is caught, else
-    None."""
+    """Reduce the family's cached RTT residual entries in the mutated
+    preset one at a time and return the first nonzero one, formatted, as
+    the witness that the fault is caught; a gr2 fault the residual misses
+    falls back to the left inverse identity.  None if nothing sees it."""
     mutated = mutate_preset(mutation)
 
-    def first_nonzero(matrix: AlgMatrix) -> str | None:
-        for entry in matrix.entries:
+    def first_nonzero(entries) -> str | None:
+        for entry in entries:
             if not entry.is_zero:
                 return truncate_poly_text(format_poly(entry, mutated))
         return None
 
-    if mutation.preset_name == "gr2":
-        a = generic_gr2(mutated)
-        witness = first_nonzero(rtt_residual(ONE, a, graded=False))
-        if witness:
-            return witness
-        dl = delta_left(a)
-        dli = AlgMatrix(2, 2, [dl, Poly.zero(), Poly.zero(), dl], mutated)
-        return first_nonzero(mat_mul(left_inverse(a), a) - dli)
-    m = generic_gr11(mutated)
-    return first_nonzero(rtt_residual(-ONE, m, graded=True))
+    gr2 = mutation.preset_name == "gr2"
+    witness = first_nonzero(normal_form(e, mutated)
+                            for e in rtt_entries("all_odd" if gr2 else "diag_odd"))
+    if witness or not gr2:
+        return witness
+    a = generic_gr2(mutated)
+    dl = delta_left(a)
+    dli = AlgMatrix(2, 2, [dl, Poly.zero(), Poly.zero(), dl], mutated)
+    return first_nonzero((mat_mul(left_inverse(a), a) - dli).entries)
 
 
 def fault_injection_report(seed: int = DEFAULT_SEED) -> Report:

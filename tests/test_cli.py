@@ -464,6 +464,36 @@ def test_huge_power_fails_before_building_the_word():
     assert code == 1 and "length 1000000" in err
 
 
+def test_coefficient_powers_past_the_span_bound_fail_at_once():
+    start = time.perf_counter()
+    code, out, err = run_cli("reduce", "--preset", "gr2", "(p+q)^1500*alpha")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert "input coefficient of p-degree span 1500 exceeds the bound 64" in err
+    assert run_cli("reduce", "--preset", "gr2", "(p+q)^64*alpha")[0] == 0
+    # a monomial spans nothing, whatever its exponents
+    assert run_cli("reduce", "--preset", "gr2", "p^-500*q^700*alpha") == (
+        0, "p^-500*q^700*alpha\n", "")
+
+
+def test_coefficient_products_and_quotients_add_their_spans():
+    assert run_cli("reduce", "--preset", "gr2", "(p+q)^32*(1+q)^32*alpha")[0] == 0
+    code, out, err = run_cli("reduce", "--preset", "gr2", "(p+q)^32*(1+q)^33*alpha")
+    assert code == 1 and not out
+    assert "q-degree span 65 exceeds the bound 64" in err
+    code, _, err = run_cli("reduce", "--preset", "gr2", "alpha/(1 + p)^40/(1 + p)^25")
+    assert code == 1 and "p-degree span 65" in err
+    code, _, err = run_cli("reduce", "--preset", "gr2", "(p - q)^-65*alpha")
+    assert code == 1 and "p-degree span 65" in err
+
+
+def test_closed_powers_at_the_word_cap_parse_back():
+    # every coefficient the program prints at the cap is within the bound
+    pres = preset("gr11")
+    for entry in matops.closed_power(64).entries:
+        assert parse_poly(format_poly(entry, pres), pres) == entry
+
+
 # -- presentation files ---------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["gr2", "gr11", "gr11_localized", "gr11_inverse",

@@ -5,16 +5,18 @@ import json
 
 import pytest
 
-from grasspq import matops, verify
+from grasspq import freealg, matops, verify
 from grasspq.coeff import ONE, P
-from grasspq.freealg import preset
-from grasspq.matops import closed_power
+from grasspq.freealg import PRESET_NAMES, format_poly, normal_form, preset
+from grasspq.matops import closed_power, generic_matrix, rtt_residual
+from grasspq.reporting import truncate_poly_text
 from grasspq.verify import (
     DEFAULT_SEED,
     MUTATIONS,
     Mutation,
     fault_injection_report,
     mutate_preset,
+    mutation_witness,
     suite_all,
     suite_gr2,
     suite_gr11,
@@ -66,6 +68,51 @@ def test_suite_powers_builds_each_closed_power_once(monkeypatch):
     monkeypatch.setattr(matops, "closed_power", counting)
     assert suite_powers(3).passed
     assert built == [1, 2, 3, 4, 5, 6]
+
+
+def test_each_family_reference_is_built_once_per_process(monkeypatch):
+    for name in PRESET_NAMES:
+        preset(name)  # the presets are built once per process too
+    verify.rtt_entries.cache_clear()
+    verify.plane_references.cache_clear()
+    builds, derivations = [], []
+    build, derive = freealg.build_presentation, verify.derive_relations
+
+    def counting_build(*args, **kwargs):
+        builds.append(args[0])
+        return build(*args, **kwargs)
+
+    def counting_derive(*args, **kwargs):
+        derivations.append(args[2])
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(freealg, "build_presentation", counting_build)
+    monkeypatch.setattr(verify, "derive_relations", counting_derive)
+    assert fault_injection_report().passed
+    assert builds == derivations == []
+    for _ in range(2):
+        assert suite_gr2().passed and suite_gr11().passed
+    assert builds == ["gr2", "gr11"]
+    assert derivations == ["all_odd"] * 2 + ["diag_odd"] * 2
+
+
+# the RTT parameter and grading of each preset's family, written out here
+# rather than read from verify.FAMILIES
+_RTT = {"gr2": ("all_odd", ONE, False), "gr11": ("diag_odd", -ONE, True)}
+
+
+@pytest.mark.parametrize("name, mutation",
+                         [("gr2", None), ("gr11", None)]
+                         + [(m.preset_name, m) for m in MUTATIONS],
+                         ids=lambda case: getattr(case, "name", case or "unmutated"))
+def test_the_cached_residual_reduces_to_the_direct_one(name, mutation):
+    pres = preset(name) if mutation is None else mutate_preset(mutation)
+    kind, x, graded = _RTT[name]
+    direct = rtt_residual(x, generic_matrix(kind, pres), graded).entries
+    assert [normal_form(e, pres) for e in verify.rtt_entries(kind)] == list(direct)
+    if mutation is not None:
+        first = next(e for e in direct if not e.is_zero)
+        assert mutation_witness(mutation) == truncate_poly_text(format_poly(first, pres))
 
 
 def test_suite_all_is_the_conjunction(gr2_report, gr11_report, powers_report):
