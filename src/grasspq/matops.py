@@ -258,17 +258,6 @@ def rtt_residual(x: RatFunc, a: AlgMatrix, graded: bool) -> AlgMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _rows_over_basis(polys: Sequence[Poly]):
-    rows = []
-    for poly in polys:
-        if poly.is_zero:
-            continue
-        if not poly.is_homogeneous(2):
-            raise NotHomogeneous(f"{poly!r} is not homogeneous of degree 2")
-        rows.append(dict(poly.terms))
-    return rows
-
-
 def _echelon(rows, basis=()):
     """Row-reduce sparse rows (word -> nonzero RatFunc) onto a copy of the
     echelon basis `basis` (pivot word -> row monic there, with no smaller
@@ -341,23 +330,49 @@ def _admissible_points(rng: random.Random):
             yield p0, q0
 
 
-def span_equal(s1: Sequence[Poly], s2: Sequence[Poly], *, seed: int = 0,
-               label: str = "span") -> Report:
+class Span:
+    """The span of a set of degree-2 polynomials: its rows over the word
+    basis (word -> nonzero RatFunc), their exact echelon, and, for each
+    sample point asked for, its integer rows and echelon there (`at`).  An
+    entry depends on its point alone, so a racing fill stores an equal
+    value and threads may share a span."""
+
+    __slots__ = ("rows", "echelon", "_points")
+
+    def __init__(self, polys: Sequence[Poly]):
+        for poly in polys:
+            if not (poly.is_zero or poly.is_homogeneous(2)):
+                raise NotHomogeneous(f"{poly!r} is not homogeneous of degree 2")
+        self.rows = [dict(poly.terms) for poly in polys if not poly.is_zero]
+        self.echelon = _echelon(self.rows)
+        self._points: dict = {}
+
+    def at(self, point):
+        """The primitive integer rows at (p0, q0) and their echelon, or None
+        if a denominator vanishes there."""
+        if point not in self._points:
+            try:
+                rows = _integer_rows(self.rows, point)
+                self._points[point] = rows, _integer_echelon(rows)
+            except SingularEvaluation:
+                self._points[point] = None
+        return self._points[point]
+
+
+def span_equal(s1: Span | Sequence[Poly], s2: Span | Sequence[Poly], *,
+               seed: int = 0, label: str = "span") -> Report:
     """Do two sets of degree-2 polynomials span the same subspace over the
     coefficient field?  Both memberships are read off three exact ranks:
     of the first set, of the second, and of the second reduced onto the
     first's echelon (their sum).  The same ranks at five random admissible
     rational points, taken in integers, cross-check them in another field;
-    a point where a denominator vanishes is passed over."""
+    a point where either set has a vanishing denominator is passed over.
+    Each set is a `Span` or a sequence, wrapped in a fresh one; a `Span`
+    passed again answers its echelons from what it already holds."""
     report = Report(suite=f"span:{label}", seed=seed)
-    rows1 = _rows_over_basis(s1)
-    rows2 = _rows_over_basis(s2)
-
-    def ranks(echelon, at1, at2):
-        e1 = echelon(at1)
-        return len(e1), len(echelon(at2)), len(echelon(at2, e1))
-
-    r1, r2, rb = ranks(_echelon, rows1, rows2)
+    one, two = (s if isinstance(s, Span) else Span(s) for s in (s1, s2))
+    r1, r2 = len(one.echelon), len(two.echelon)
+    rb = len(_echelon(two.rows, one.echelon))
     # dim(S1 + S2) equals dim S1 iff S2 lies in S1, and dim S2 iff S1 lies in S2
     report.add(Check(name="membership_second_in_first",
                      status="pass" if rb == r1 else "fail",
@@ -369,16 +384,16 @@ def span_equal(s1: Sequence[Poly], s2: Sequence[Poly], *, seed: int = 0,
     points, checked = _admissible_points(random.Random(seed)), 0
     while ok_rank and checked < 5:
         point = next(points)
-        try:
-            at1, at2 = _integer_rows(rows1, point), _integer_rows(rows2, point)
-        except SingularEvaluation:
+        at1, at2 = one.at(point), two.at(point)
+        if at1 is None or at2 is None:
             continue
-        ok_rank, checked = ranks(_integer_echelon, at1, at2) == (r1, r1, r1), checked + 1
+        (_, e1), (rows2, e2) = at1, at2
+        ranks = len(e1), len(e2), len(_integer_echelon(rows2, e1))
+        ok_rank, checked = ranks == (r1, r1, r1), checked + 1
     report.add(Check(name="numeric_rank_crosscheck",
                      status="pass" if ok_rank else "fail",
                      paper_ref="ranks agree at random admissible (p, q) values"))
-    report.finish()
-    return report
+    return report.finish()
 
 
 # ---------------------------------------------------------------------------

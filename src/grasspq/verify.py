@@ -29,6 +29,7 @@ from .freealg import (
 )
 from .matops import (
     AlgMatrix,
+    Span,
     closed_power,
     delta_left,
     delta_right,
@@ -109,24 +110,34 @@ def plane_references(kind: str) -> tuple[tuple[Poly, ...], Presentation]:
     return tuple(derived), fam.build(P, P)
 
 
+@lru_cache(maxsize=None)
+def reference_spans(kind: str) -> tuple[Span, Span]:
+    """The spans of the family's RTT residual entries and of its
+    plane-derived relations, with their exact echelons; built once per
+    process, and each fills its integer echelons once per sample point."""
+    return Span(rtt_entries(kind)), Span(plane_references(kind)[0])
+
+
 def _family_checks(report: Report, pres: Presentation, kind: str) -> None:
     """The checks both matrix families share, against the references of
     FAMILIES[kind].  RTT soundness reduces the free-algebra residual
     entries in pres, which is `rtt_residual` over pres because the normal
     form is linear; the entries span the relations, so do the relations
     derived from the plane maps both ways, and q := p in pres gives the
-    rules of build(p, p)."""
+    rules of build(p, p).  The span checks read the cached reference
+    spans, so a pass row-reduces only the relations of pres and their
+    union with each reference."""
     fam = FAMILIES[kind]
-    residual = rtt_entries(kind)
     report.add(_matrix_residual_check(
-        fam.soundness, AlgMatrix(4, 4, residual, pres), fam.soundness_ref))
-    relations = pres.relation_polys()
-    _flatten(report, span_equal(residual, relations, seed=report.seed,
+        fam.soundness, AlgMatrix(4, 4, rtt_entries(kind), pres), fam.soundness_ref))
+    relations = Span(pres.relation_polys())
+    rtt_span, derived_span = reference_spans(kind)
+    _flatten(report, span_equal(rtt_span, relations, seed=report.seed,
                                 label=f"{report.suite}-rtt"), "rtt_completeness")
-    derived, direct = plane_references(kind)
-    _flatten(report, span_equal(derived, relations, seed=report.seed,
+    _flatten(report, span_equal(derived_span, relations, seed=report.seed,
                                 label=f"{report.suite}-derive"), "derivation_equivalence")
     spec = specialize_presentation(pres, {"q": P})
+    direct = plane_references(kind)[1]
     same = [(r.lhs, r.rhs) for r in spec.rules] == [(r.lhs, r.rhs) for r in direct.rules]
     report.add(Check(name="degeneration_q_eq_p",
                      status="pass" if same else "fail",

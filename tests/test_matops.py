@@ -3,6 +3,8 @@ RTT residuals, dual determinants, inverses, the superdeterminant."""
 
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 
@@ -12,6 +14,7 @@ from grasspq.coeff import ONE, P, Q, RatFunc, evaluator
 from grasspq.errors import GeneratorMismatch, NotHomogeneous, NotLocalized, ShapeMismatch
 from grasspq.freealg import (
     ENTRY_LAYOUTS,
+    PRESET_NAMES,
     Poly,
     family,
     format_poly,
@@ -22,6 +25,7 @@ from grasspq.freealg import (
 )
 from grasspq.matops import (
     AlgMatrix,
+    Span,
     delta_left,
     delta_right,
     generic_gr2,
@@ -42,7 +46,7 @@ from grasspq.matops import (
     tensor_ungraded,
 )
 from grasspq.matops import _admissible_points, _echelon, _integer_echelon, _integer_rows
-from grasspq.verify import MUTATIONS, mutate_preset
+from grasspq.verify import DEFAULT_SEED, MUTATIONS, mutate_preset, plane_references, rtt_entries
 
 w = Poly.word
 g = Poly.gen
@@ -386,6 +390,68 @@ def test_span_equal_draws_past_a_point_where_a_denominator_vanishes():
     assert any(p0 == 2 * q0 for p0, q0 in itertools.islice(_admissible_points(random.Random(27)), 5))
     xy = w("alpha", "beta")
     assert span_equal([xy.scale((P - two * Q).inv())], [xy], seed=27).passed
+
+
+XY = w("alpha", "beta")
+# At seed 27 the third draw has p0 = 2 q0, where (p - 2q)^-1 has no value,
+# and the sixth has 21 p0 = 95 q0, where 21p - 95q vanishes: the sixth draw
+# is the fifth point checked only if the third is passed over.
+SINGULAR = XY.scale((P - two * Q).inv())
+VANISHING = XY.scale((RatFunc.const(21) * P - RatFunc.const(95) * Q) * (P - two * Q).inv())
+SPAN_SEEDS = (DEFAULT_SEED, 1, 27)
+
+
+def test_a_reused_span_reports_as_a_fresh_one():
+    draws = list(itertools.islice(_admissible_points(random.Random(27)), 6))
+    assert [p0 == 2 * q0 for p0, q0 in draws] == [False, False, True, False, False, False]
+    assert 21 * draws[5][0] == 95 * draws[5][1]
+    references = {f"{kind}:rtt": rtt_entries(kind) for kind in ("all_odd", "diag_odd")}
+    references |= {f"{kind}:derive": plane_references(kind)[0] for kind in ("all_odd", "diag_odd")}
+    singular = {"xy": [XY], "singular": [SINGULAR], "vanishing": [VANISHING]}
+    seconds = {name: preset(name).relation_polys()
+               for name in PRESET_NAMES if name != "gr11_localized"}
+    seconds |= {m.name: mutate_preset(m).relation_polys() for m in MUTATIONS}
+    statuses = {}
+    for ref, polys in (references | singular).items():
+        span = Span(polys)  # one span per reference, the seeds interleaved on it
+        for name, second in (seconds | singular).items():
+            for seed in SPAN_SEEDS:
+                got = span_equal(span, second, seed=seed, label=name)
+                assert got.signature() == span_equal(
+                    list(polys), list(second), seed=seed, label=name).signature()
+                statuses[ref, name, seed] = tuple(c.status for c in got.checks)
+    passed = ("pass",) * 3
+    for seed in SPAN_SEEDS:
+        for kind, name in (("all_odd", "gr2"), ("diag_odd", "gr11")):
+            assert statuses[f"{kind}:rtt", name, seed] == passed
+            assert statuses[f"{kind}:derive", name, seed] == passed
+        for m in MUTATIONS:
+            kind = "all_odd" if m.preset_name == "gr2" else "diag_odd"
+            assert "fail" in statuses[f"{kind}:rtt", m.name, seed]
+        # a point where either set is singular is passed over, not counted
+        assert statuses["singular", "xy", seed] == statuses["xy", "singular", seed] == passed
+        crosscheck = "fail" if seed == 27 else "pass"
+        assert statuses["xy", "vanishing", seed] == ("pass", "pass", crosscheck)
+        assert statuses["vanishing", "xy", seed] == ("pass", "pass", crosscheck)
+
+
+def test_threads_sharing_a_span_agree_with_fresh_results(gr11):
+    polys, relations = rtt_entries("diag_odd"), gr11.relation_polys()
+    # four threads at a time on one seed, so they race to fill the same points
+    seeds = [seed for seed in (DEFAULT_SEED, 1, 27, 2, 3, 4) for _ in range(4)]
+    want = [span_equal(list(polys), relations, seed=seed).signature() for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, mid-fill
+    try:
+        for _ in range(3):
+            shared = Span(polys)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(
+                    lambda seed: span_equal(shared, relations, seed=seed).signature(),
+                    seeds, timeout=60))
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_span_equal_rejects_inhomogeneous():

@@ -73,10 +73,10 @@ def test_suite_powers_builds_each_closed_power_once(monkeypatch):
 def test_each_family_reference_is_built_once_per_process(monkeypatch):
     for name in PRESET_NAMES:
         preset(name)  # the presets are built once per process too
-    verify.rtt_entries.cache_clear()
-    verify.plane_references.cache_clear()
-    builds, derivations = [], []
-    build, derive = freealg.build_presentation, verify.derive_relations
+    for cache in (verify.rtt_entries, verify.plane_references, verify.reference_spans):
+        cache.cache_clear()
+    builds, derivations, spans = [], [], []
+    build, derive, span = freealg.build_presentation, verify.derive_relations, verify.Span
 
     def counting_build(*args, **kwargs):
         builds.append(args[0])
@@ -86,14 +86,28 @@ def test_each_family_reference_is_built_once_per_process(monkeypatch):
         derivations.append(args[2])
         return derive(*args, **kwargs)
 
+    def counting_span(polys):
+        spans[-1].append(polys)
+        return span(polys)
+
     monkeypatch.setattr(freealg, "build_presentation", counting_build)
     monkeypatch.setattr(verify, "derive_relations", counting_derive)
+    monkeypatch.setattr(verify, "Span", counting_span)
+    spans.append([])
     assert fault_injection_report().passed
-    assert builds == derivations == []
+    assert builds == derivations == spans[0] == []
     for _ in range(2):
+        spans.append([])
         assert suite_gr2().passed and suite_gr11().passed
     assert builds == ["gr2", "gr11"]
     assert derivations == ["all_odd"] * 2 + ["diag_odd"] * 2
+    # each pass spans the relations once per suite; the reference spans,
+    # with their exact echelons, are made by the first pass alone
+    references = [r for kind in verify.FAMILIES
+                  for r in (verify.rtt_entries(kind), verify.plane_references(kind)[0])]
+    assert [len(made) for made in spans[1:]] == [6, 2]
+    assert [sum(any(polys is r for r in references) for polys in made)
+            for made in spans[1:]] == [4, 0]
 
 
 # the RTT parameter and grading of each preset's family, written out here
