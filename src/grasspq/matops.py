@@ -330,12 +330,16 @@ def _admissible_points(rng: random.Random):
             yield p0, q0
 
 
+MAX_POINTS = 64  # entries of a span's per-point map; a fill that finds it full empties it
+
+
 class Span:
     """The span of a set of degree-2 polynomials: its rows over the word
     basis (word -> nonzero RatFunc), their exact echelon, and, for each
     sample point asked for, its integer rows and echelon there (`at`).  An
-    entry depends on its point alone, so a racing fill stores an equal
-    value and threads may share a span."""
+    entry depends on its point alone and a reader keeps the entry it got,
+    so a racing fill or emptying changes no result and threads may share a
+    span."""
 
     __slots__ = ("rows", "echelon", "_points")
 
@@ -348,15 +352,19 @@ class Span:
         self._points: dict = {}
 
     def at(self, point):
-        """The primitive integer rows at (p0, q0) and their echelon, or None
+        """The primitive integer rows at (p0, q0) and their echelon, or ()
         if a denominator vanishes there."""
-        if point not in self._points:
+        entry = self._points.get(point)
+        if entry is None:
             try:
                 rows = _integer_rows(self.rows, point)
-                self._points[point] = rows, _integer_echelon(rows)
+                entry = rows, _integer_echelon(rows)
             except SingularEvaluation:
-                self._points[point] = None
-        return self._points[point]
+                entry = ()
+            if len(self._points) >= MAX_POINTS:
+                self._points.clear()
+            self._points[point] = entry
+        return entry
 
 
 def span_equal(s1: Span | Sequence[Poly], s2: Span | Sequence[Poly], *,
@@ -385,7 +393,7 @@ def span_equal(s1: Span | Sequence[Poly], s2: Span | Sequence[Poly], *,
     while ok_rank and checked < 5:
         point = next(points)
         at1, at2 = one.at(point), two.at(point)
-        if at1 is None or at2 is None:
+        if not (at1 and at2):
             continue
         (_, e1), (rows2, e2) = at1, at2
         ranks = len(e1), len(e2), len(_integer_echelon(rows2, e1))

@@ -128,8 +128,9 @@ def _family_checks(report: Report, pres: Presentation, kind: str) -> None:
     spans, so a pass row-reduces only the relations of pres and their
     union with each reference."""
     fam = FAMILIES[kind]
+    residual = rtt_entries(kind)
     report.add(_matrix_residual_check(
-        fam.soundness, AlgMatrix(4, 4, rtt_entries(kind), pres), fam.soundness_ref))
+        fam.soundness, AlgMatrix(4, 4, residual, pres), fam.soundness_ref))
     relations = Span(pres.relation_polys())
     rtt_span, derived_span = reference_spans(kind)
     _flatten(report, span_equal(rtt_span, relations, seed=report.seed,

@@ -24,6 +24,7 @@ from grasspq.freealg import (
     specialize,
 )
 from grasspq.matops import (
+    MAX_POINTS,
     AlgMatrix,
     Span,
     delta_left,
@@ -443,7 +444,7 @@ def test_threads_sharing_a_span_agree_with_fresh_results(gr11):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, mid-fill
     try:
-        for _ in range(3):
+        for _ in range(8):
             shared = Span(polys)
             with ThreadPoolExecutor(max_workers=4) as pool:
                 got = list(pool.map(
@@ -452,6 +453,15 @@ def test_threads_sharing_a_span_agree_with_fresh_results(gr11):
             assert got == want
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_span_holds_at_most_max_points_entries(gr2):
+    relations = gr2.relation_polys()
+    span = Span(relations)
+    for seed in range(30):  # about 150 points
+        assert span_equal(span, relations, seed=seed).passed
+        assert len(span._points) <= MAX_POINTS
+    assert len(span._points) > 5  # it was emptied, not bypassed
 
 
 def test_span_equal_rejects_inhomogeneous():
