@@ -16,10 +16,15 @@ Whitespace is any Unicode whitespace (str.isspace) and only separates
 tokens.  Any other character is an error at its position.
 
 '^' binds tighter than '*' and '/', which bind tighter than '+' and '-';
-unary minus sits just below '^' (so -p^2 means -(p^2)).  A chain of
-'*' is folded left to right in one pass.  Division requires a scalar
+unary minus sits just below '^' (so -p^2 means -(p^2)).  The parser
+evaluates as it reads, in one pass: sums and products are folded left to
+right in a loop and a run of unary minuses folds to one sign, so only
+parentheses nest, at most MAX_NESTING deep.  Division requires a scalar
 divisor.  Negative powers are allowed on scalars and on generators with
-a declared inverse.
+a declared inverse; a scalar power is one exponentiation.  Inputs are
+bounded before anything is built: words by the presentation's length
+cap, coefficients by MAX_COEFF_SPAN and MAX_INT_BITS, integer literals
+by MAX_LITERAL_DIGITS.
 """
 
 from __future__ import annotations
@@ -56,16 +61,27 @@ from .matops import check_power_cap, closed_power, generic_gr11, matrix_power, r
 from .reporting import Report
 from .verify import DEFAULT_SEED, SUITES
 
+# How deep parentheses may nest: each level is a few parser stack frames.
+MAX_NESTING = 64
+
+# The widest p- and q-degree span a scalar product or power in an input may
+# reach.  The closed matrix powers reach span 63 at the default word cap.
+MAX_COEFF_SPAN = 64
+
+# Integers stay well below Python's 4,300-digit int/str limit: a literal
+# of more than MAX_LITERAL_DIGITS digits is refused before it is read, and
+# a product or power is held to integers of about 2^MAX_INT_BITS (2,467
+# digits).  The literal bound is the wider, so whatever prints parses back.
+MAX_LITERAL_DIGITS = 4000
+MAX_INT_BITS = 8192
+
+
 # ---------------------------------------------------------------------------
-# tokens and syntax trees
+# tokens, parsing and evaluation
 # ---------------------------------------------------------------------------
 
 # A token is a tuple (kind, value, position): kind is "int", "name" or
-# "end", or for an operator or a parenthesis the character itself.  A
-# syntax tree is a tuple whose first entry is its tag: ("num", int),
-# ("param", "p" | "q"), ("gen", name), ("neg", tree), ("^", tree, int) or
-# (op, tree, tree) for op in "+-*/".
-
+# "end", or for an operator or a parenthesis the character itself.
 # Python's \w is exactly str.isalnum() or "_", and \s exactly str.isspace();
 # a \w run that starts with a digit other than 0-9 is no name.  Every
 # character is \s or \S, so consecutive matches cover the whole text but
@@ -94,41 +110,58 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive descent; `tok` is the next token, and the end token is
-    never consumed."""
+    """Recursive descent that evaluates as it reads: each rule returns the
+    term map of the text it read (word -> nonzero coefficient, a scalar c
+    as {(): c}).  `tok` is the next token, and the end token is never
+    consumed."""
 
     def __init__(self, tokens: list[tuple[str, str, int]], pres: Presentation):
         self.rest = iter(tokens)
         self.tok = next(self.rest)
         self.pres = pres
+        self.depth = 0  # open parentheses
 
-    def parse(self) -> tuple:
-        node = self.expr()
-        kind, value, pos = self.tok
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {value!r}", pos)
-        return node
-
-    def expr(self) -> tuple:
-        node = self.term()
+    def expr(self) -> dict[Word, RatFunc]:
+        acc = self.term()
         while (op := self.tok[0]) == "+" or op == "-":
             self.tok = next(self.rest)
-            node = (op, node, self.term())
-        return node
+            right = self.term()
+            if op == "-":
+                right = {w: -c for w, c in right.items()}
+            add_scaled(acc, right, ONE)
+        return acc
 
-    def term(self) -> tuple:
-        node = self.factor()
+    def term(self) -> dict[Word, RatFunc]:
+        # each factor is held against the product so far; one word with
+        # coefficient 1 (a generator) just extends every word
+        acc = self.factor()
         while (op := self.tok[0]) == "*" or op == "/":
             self.tok = next(self.rest)
-            node = (op, node, self.factor())
-        return node
+            right = self.factor()
+            if op == "/":
+                divisor = _scalar_of(right)
+                if divisor is None:
+                    raise NegativePowerOfNonInvertible("division only by scalar coefficients")
+                _hold_coeffs(acc, right)
+                inverse = divisor.inv()
+                acc = {w: c * inverse for w, c in acc.items()}
+            elif len(right) == 1 and ONE is next(iter(right.values())):
+                (word,) = right
+                _hold_length(_longest(acc) + len(word), self.pres)
+                acc = {w + word: c for w, c in acc.items()}
+            else:
+                _hold_length(_longest(acc) + _longest(right), self.pres)
+                _hold_coeffs(acc, right)
+                acc = product_terms(acc, right)
+        return acc
 
-    def factor(self) -> tuple:
+    def factor(self) -> dict[Word, RatFunc]:
         # unary minus binds just below '^': -p^2 means -(p^2)
-        if self.tok[0] == "-":
+        negate = False
+        while self.tok[0] == "-":
+            negate = not negate
             self.tok = next(self.rest)
-            return ("neg", self.factor())
-        node = self.atom()
+        terms = self.atom()
         if self.tok[0] == "^":
             self.tok = next(self.rest)
             sign = 1
@@ -139,45 +172,58 @@ class _Parser:
             if kind != "int":
                 raise ExprSyntaxError("exponent must be an integer", pos)
             self.tok = next(self.rest)
-            node = ("^", node, sign * int(value))
-        return node
+            terms = _power(terms, sign * _literal(value, pos), self.pres)
+        if negate:
+            terms = {w: -c for w, c in terms.items()}
+        return terms
 
-    def atom(self) -> tuple:
+    def atom(self) -> dict[Word, RatFunc]:
         kind, value, pos = self.tok
         if kind == "name":
             if value in ("p", "q"):
-                node = ("param", value)
+                terms = {(): P if value == "p" else Q}
             elif value in self.pres.parities:
-                node = ("gen", value)
+                terms = {(value,): ONE}
             else:
                 raise UnknownGenerator(
                     f"{value!r} is not a generator of {self.pres.label!r} "
                     f"(at position {pos})")
         elif kind == "int":
-            node = ("num", int(value))
+            n = _literal(value, pos)
+            terms = {(): RatFunc.const(n)} if n else {}
         elif kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ExprSyntaxError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             self.tok = next(self.rest)
-            node = self.expr()
+            terms = self.expr()
             if self.tok[0] != ")":
                 raise ExprSyntaxError("expected ')'", self.tok[2])
+            self.depth -= 1
         else:
             raise ExprSyntaxError(f"unexpected token {value!r}", pos)
         self.tok = next(self.rest)
-        return node
+        return terms
 
 
-def parse(text: str, pres: Presentation) -> tuple:
+def parse(text: str, pres: Presentation) -> dict[Word, RatFunc]:
+    """The term map of an expression over pres, evaluated but not reduced."""
     if not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(tokenize(text), pres).parse()
+    parser = _Parser(tokenize(text), pres)
+    terms = parser.expr()
+    kind, value, pos = parser.tok
+    if kind != "end":
+        raise ExprSyntaxError(f"unexpected trailing input {value!r}", pos)
+    return terms
 
 
-# ---------------------------------------------------------------------------
-# evaluation
-# ---------------------------------------------------------------------------
-#
-# A tree evaluates to a term map (word -> nonzero coefficient), a scalar c
-# to {(): c}; eval_expr wraps the result in a Poly once.
+def _literal(digits: str, pos: int) -> int:
+    if len(digits) > MAX_LITERAL_DIGITS:
+        raise DegreeCapExceeded(f"integer literal of {len(digits)} digits at position "
+                                f"{pos} exceeds the bound {MAX_LITERAL_DIGITS}")
+    return int(digits)
 
 
 def _scalar_of(terms: dict[Word, RatFunc]) -> RatFunc | None:
@@ -203,22 +249,24 @@ def _longest(terms: dict[Word, RatFunc]) -> int:
     return max(map(len, terms), default=0)
 
 
-# The widest p- and q-degree span a scalar product or power in an input may
-# reach.  The closed matrix powers reach span 63 at the default word cap.
-MAX_COEFF_SPAN = 64
-
-
-def _hold_span(*factors: dict[Word, RatFunc], times: int = 1) -> None:
-    """A scalar product or power is held to MAX_COEFF_SPAN before it is
-    formed, as _hold_length holds words: the widest p- and q-degree spans
-    among each factor's coefficients are added (and times |n| for a
-    power).  A coefficient num/den spans the exponent range of num plus
-    that of den, so a monomial spans nothing."""
-    p_span = q_span = 0
+def _hold_coeffs(*factors: dict[Word, RatFunc], times: int = 1) -> None:
+    """A product or power is held to MAX_COEFF_SPAN and MAX_INT_BITS before
+    it is formed, as _hold_length holds words: the widest p- and q-degree
+    spans and integer sizes (ceil(log2) of the largest integer) of each
+    factor's coefficients add, times |n| for a power.  A coefficient num/den
+    spans the exponent ranges of num and den, so a monomial spans nothing."""
+    p_span = q_span = size = 0
     for terms in factors:
         widest_p = widest_q = 0
+        top = 1  # the largest integer in the factor's coefficients
         for c in terms.values():
             num, den = c.num.terms, c.den.terms
+            for part in (num, den):
+                for v in part.values():
+                    if type(v) is not int:
+                        v = max(abs(v.numerator), v.denominator)
+                    if not -top <= v <= top:
+                        top = abs(v)
             if len(num) == 1 and len(den) == 1:
                 continue
             c_p = c_q = 0
@@ -230,87 +278,46 @@ def _hold_span(*factors: dict[Word, RatFunc], times: int = 1) -> None:
             widest_q = max(widest_q, c_q)
         p_span += widest_p * times
         q_span += widest_q * times
+        size += (top - 1).bit_length() * times
     for name, span in (("p", p_span), ("q", q_span)):
         if span > MAX_COEFF_SPAN:
             raise DegreeCapExceeded(f"input coefficient of {name}-degree span {span} "
                                     f"exceeds the bound {MAX_COEFF_SPAN}")
+    if size > MAX_INT_BITS:
+        raise DegreeCapExceeded(f"input coefficient integers up to 2^{size} exceed "
+                                f"the bound 2^{MAX_INT_BITS}")
 
 
-def _eval(node: tuple, pres: Presentation) -> dict[Word, RatFunc]:
-    tag = node[0]
-    if tag == "gen":
-        return {(node[1],): ONE}
-    if tag == "num":
-        return {(): RatFunc.const(node[1])} if node[1] else {}
-    if tag == "param":
-        return {(): P if node[1] == "p" else Q}
-    if tag == "neg":
-        return {w: -c for w, c in _eval(node[1], pres).items()}
-    if tag == "^":
-        return _power(node[1], node[2], pres)
-    if tag == "*":
-        return _product_chain(node, pres)
-    left = _eval(node[1], pres)
-    right = _eval(node[2], pres)
-    if tag == "/":
-        divisor = _scalar_of(right)
-        if divisor is None:
-            raise NegativePowerOfNonInvertible("division only by scalar coefficients")
-        _hold_span(left, right)
-        inverse = divisor.inv()
-        return {w: c * inverse for w, c in left.items()}
-    if tag == "-":
-        right = {w: -c for w, c in right.items()}
-    add_scaled(left, right, ONE)
-    return left
-
-
-def _product_chain(node: tuple, pres: Presentation) -> dict[Word, RatFunc]:
-    """A chain of '*' (nested to the left) folded in one pass, left to
-    right; each factor is held to the length cap against the product so
-    far, and a bare generator just extends every word."""
-    factors = []
-    while node[0] == "*":
-        factors.append(node[2])
-        node = node[1]
-    acc = _eval(node, pres)
-    for factor in reversed(factors):
-        if factor[0] == "gen":
-            _hold_length(_longest(acc) + 1, pres)
-            letter = (factor[1],)
-            acc = {w + letter: c for w, c in acc.items()}
-        else:
-            right = _eval(factor, pres)
-            _hold_length(_longest(acc) + _longest(right), pres)
-            _hold_span(acc, right)
-            acc = product_terms(acc, right)
-    return acc
-
-
-def _power(base_node: tuple, n: int, pres: Presentation) -> dict[Word, RatFunc]:
-    base = _eval(base_node, pres)
-    _hold_span(base, times=abs(n))
+def _power(base: dict[Word, RatFunc], n: int, pres: Presentation) -> dict[Word, RatFunc]:
+    _hold_coeffs(base, times=abs(n))
+    scalar = _scalar_of(base)
+    if scalar is not None:
+        if abs(n) > 1:  # the power multiplies the degree of every term
+            degree = max(abs(e) for part in (scalar.num, scalar.den) for pair in part.terms
+                         for e in pair)
+            if (degree * n).bit_length() > MAX_INT_BITS:
+                raise DegreeCapExceeded(f"input coefficient degree exceeds the bound "
+                                        f"2^{MAX_INT_BITS}")
+        value = scalar ** n
+        return {(): value} if value else {}
     if n >= 0:
         _hold_length(_longest(base) * n, pres)
         out = {(): ONE}
         for _ in range(n):
             out = product_terms(out, base)
         return out
-    scalar = _scalar_of(base)
-    if scalar is not None:
-        return {(): scalar ** n}
-    if base_node[0] == "gen":
-        inv_name = pres.inverses.get(base_node[1])
-        if inv_name is not None:
-            _hold_length(-n, pres)
-            return {(inv_name,) * -n: ONE}
+    # a base that is one generator, with coefficient 1 and a declared inverse
+    word = next(iter(base))
+    if len(base) == 1 and len(word) == 1 and word[0] in pres.inverses and base[word] == ONE:
+        _hold_length(-n, pres)
+        return {(pres.inverses[word[0]],) * -n: ONE}
     raise NegativePowerOfNonInvertible(
         "negative power needs a scalar or a generator with a declared inverse")
 
 
-def eval_expr(node: tuple, pres: Presentation) -> Poly:
-    """Interpret the tree and return the normal form."""
-    return normal_form(Poly(_eval(node, pres)), pres)
+def eval_expr(terms: dict[Word, RatFunc], pres: Presentation) -> Poly:
+    """The normal form of a parsed term map."""
+    return normal_form(Poly(terms), pres)
 
 
 def parse_poly(text: str, pres: Presentation) -> Poly:
@@ -319,8 +326,7 @@ def parse_poly(text: str, pres: Presentation) -> Poly:
 
 def parse_coeff(text: str) -> RatFunc:
     """Parse a pure-coefficient expression (no generators)."""
-    scratch = Presentation("coeff", (), ())
-    scalar = _scalar_of(_eval(parse(text, scratch), scratch))
+    scalar = _scalar_of(parse(text, Presentation("coeff", (), ())))
     if scalar is None:
         raise ExprSyntaxError("expected a pure coefficient", 0)
     return scalar
@@ -435,7 +441,7 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
                               f"needs order invweight", 0)
     skeleton = Presentation(label, gens, (), inverses=inverses,
                             max_word_length=max_word_length)
-    relations = [Poly(_eval(parse(t, skeleton), skeleton)) for t in relation_texts]
+    relations = [Poly(parse(t, skeleton)) for t in relation_texts]
     pres = build_presentation(label, gens, relations, order=order,
                               negative_weight=negweight, inverses=inverses,
                               max_word_length=max_word_length)

@@ -36,7 +36,8 @@ class InconsistentConvention(AlgebraError):
 
 
 class DegreeCapExceeded(AlgebraError):
-    """An intermediate word grew past the configured length cap."""
+    """An intermediate word grew past the configured length cap, or an
+    input coefficient past its degree-span or integer-size bound."""
 
 
 class CompletionOverflow(AlgebraError):

@@ -366,25 +366,17 @@ def mutate_preset(mutation: Mutation) -> Presentation:
 def mutation_witness(mutation: Mutation) -> str | None:
     """Reduce the family's cached RTT residual entries in the mutated
     preset one at a time and return the first nonzero one, formatted, as
-    the witness that the fault is caught; a gr2 fault the residual misses
-    falls back to the left inverse identity.  None if nothing sees it."""
+    the witness that the fault is caught; None if every entry vanishes.
+    A coefficient change in a quadratic preset changes its degree-2 span,
+    which the RTT entries span (rtt_completeness), so some entry leaves
+    the mutated ideal."""
     mutated = mutate_preset(mutation)
-
-    def first_nonzero(entries) -> str | None:
-        for entry in entries:
-            if not entry.is_zero:
-                return truncate_poly_text(format_poly(entry, mutated))
-        return None
-
-    gr2 = mutation.preset_name == "gr2"
-    witness = first_nonzero(normal_form(e, mutated)
-                            for e in rtt_entries("all_odd" if gr2 else "diag_odd"))
-    if witness or not gr2:
-        return witness
-    a = generic_gr2(mutated)
-    dl = delta_left(a)
-    dli = AlgMatrix(2, 2, [dl, Poly.zero(), Poly.zero(), dl], mutated)
-    return first_nonzero((mat_mul(left_inverse(a), a) - dli).entries)
+    kind = "all_odd" if mutation.preset_name == "gr2" else "diag_odd"
+    for entry in rtt_entries(kind):
+        residual = normal_form(entry, mutated)
+        if not residual.is_zero:
+            return truncate_poly_text(format_poly(residual, mutated))
+    return None
 
 
 def fault_injection_report(seed: int = DEFAULT_SEED) -> Report:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grasspq
-from grasspq import matops
+from grasspq import cli, matops
 from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.errors import (
     AlgebraError,
@@ -81,6 +81,9 @@ def test_parse_allows_negative_power_of_localized_generator():
     assert parse_poly("b^-1", pres) == g("binv")
     assert parse_poly("b*b^-1", pres) == Poly.unit()
     assert parse_poly("c^-2", pres) == w("cinv", "cinv")
+    # the base is read by its value: parentheses and unit factors do not hide it
+    assert parse_poly("(b)^-1", pres) == g("binv")
+    assert parse_poly("(1*b)^-2", pres) == w("binv", "binv")
 
 
 def test_parse_unknown_generator():
@@ -487,8 +490,77 @@ def test_coefficient_products_and_quotients_add_their_spans():
     assert code == 1 and "p-degree span 65" in err
 
 
+def test_sums_and_unary_minus_runs_of_any_length_fold_in_a_loop():
+    terms = " + ".join(f"p^{k}*alpha" for k in range(2000))
+    code, out, _ = run_cli("reduce", "--preset", "gr2", terms)
+    assert code == 0 and out.count(" + ") == 1999
+    assert out.startswith("(p^1999 + p^1998 + ") and out.endswith(" + p + 1)*alpha\n")
+    assert run_cli("reduce", "--preset", "gr2", " + ".join(["alpha"] * 2000)) == (
+        0, "2000*alpha\n", "")
+    assert run_cli("reduce", "--preset", "gr2", "--", "-" * 1000 + "alpha") == (
+        0, "alpha\n", "")
+    assert run_cli("reduce", "--preset", "gr2", "--", "-" * 999 + "p^2*alpha") == (
+        0, "-p^2*alpha\n", "")
+
+
+def test_parentheses_nest_at_most_max_nesting_deep(tmp_path):
+    assert cli.MAX_NESTING == 64
+    nested = "(" * 64 + "alpha" + ")" * 64
+    assert run_cli("reduce", "--preset", "gr2", nested) == (0, "alpha\n", "")
+    code, out, err = run_cli("reduce", "--preset", "gr2", "(" * 300 + "alpha" + ")" * 300)
+    assert code == 2 and not out
+    assert err == "error: parentheses nested deeper than 64 (at position 64)\n"
+    code, _, err = run_cli("reduce", "--preset", "gr2", "--", "-(" * 65 + "alpha" + ")" * 65)
+    assert code == 2 and "(at position 129)" in err
+    # the same bounds hold for the relation lines of a preset file
+    path = tmp_path / "deep.preset"
+    head = "generator x even\ngenerator y even\n"
+    for relation, code in ((nested.replace("alpha", "x*y - y*x"), 0),
+                           ("-" * 1000 + "x*y + y*x", 0),
+                           ("(" * 300 + "x*y" + ")" * 300, 2)):
+        path.write_text(head + f"relation {relation}\n")
+        assert run_cli("confluence", "--preset-file", str(path))[0] == code
+
+
+def test_scalar_powers_are_one_exponentiation():
+    for text, printed in (("1^999999999*alpha", "alpha"), ("(-1)^999999999*alpha", "-alpha"),
+                          ("p^999999*alpha", "p^999999*alpha"),
+                          ("(p*q^-1)^-999999*alpha", "p^-999999*q^999999*alpha"),
+                          ("0^0*alpha + 0^5*beta", "alpha")):
+        start = time.perf_counter()
+        assert run_cli("reduce", "--preset", "gr2", text) == (0, printed + "\n", "")
+        assert time.perf_counter() - start < 1.0, text
+
+
+def test_integers_are_held_to_their_bounds_before_they_are_formed():
+    long_literal = "7" * 5000
+    for argv, message in (
+            (("reduce", "--preset", "gr2", "2^99999"),
+             "input coefficient integers up to 2^99999 exceed the bound 2^8192"),
+            (("reduce", "--preset", "gr2", f"{long_literal}*alpha"),
+             "integer literal of 5000 digits at position 0 exceeds the bound 4000"),
+            (("reduce", "--preset", "gr2", f"alpha^{long_literal}"),
+             "integer literal of 5000 digits at position 6 exceeds the bound 4000"),
+            (("rmatrix", "--x", "2^20000"),
+             "input coefficient integers up to 2^20000 exceed the bound 2^8192"),
+            (("reduce", "--preset", "gr2", "(2^4096*alpha)*(2^4097*beta)"),
+             "input coefficient integers up to 2^8193 exceed the bound 2^8192"),
+            (("reduce", "--preset", "gr2", f"(p^{'9' * 1300})^{'9' * 1300}*alpha"),
+             "input coefficient degree exceeds the bound 2^8192")):
+        start = time.perf_counter()
+        assert run_cli(*argv) == (1, "", f"error: {message}\n")
+        assert time.perf_counter() - start < 1.0, argv
+    # at the bounds the printed integers parse back
+    text = f"2^8192*alpha - 3/2^4000*beta + (q^{'9' * 2400})^-1*gamma"
+    code, out, _ = run_cli("reduce", "--preset", "gr2", text)
+    assert code == 0
+    assert parse_poly(out, preset("gr2")) == parse_poly(text, preset("gr2"))
+    literal = "9" * 4000
+    assert run_cli("reduce", "--preset", "gr2", literal) == (0, literal + "\n", "")
+
+
 def test_closed_powers_at_the_word_cap_parse_back():
-    # every coefficient the program prints at the cap is within the bound
+    # every coefficient the program prints at the cap is within the bounds
     pres = preset("gr11")
     for entry in matops.closed_power(64).entries:
         assert parse_poly(format_poly(entry, pres), pres) == entry

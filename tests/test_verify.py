@@ -6,7 +6,7 @@ import json
 import pytest
 
 from grasspq import freealg, matops, verify
-from grasspq.coeff import ONE, P
+from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.freealg import PRESET_NAMES, format_poly, normal_form, preset
 from grasspq.matops import closed_power, generic_matrix, rtt_residual
 from grasspq.reporting import truncate_poly_text
@@ -202,6 +202,17 @@ def test_every_mutation_is_caught():
     report = fault_injection_report()
     assert report.passed, report.to_text()
     assert len(report.checks) == 10
+
+
+def test_every_single_coefficient_fault_of_a_family_rule_leaves_a_residual():
+    # each factor on each rhs term of every gr2 and gr11 rule: the RTT
+    # residual entries alone see every such fault
+    factors = (-ONE, P, Q, P**-1, Q**-1, P / Q, RatFunc.const(2))
+    faults = [Mutation(f"{name}_{i}", name, rule.lhs, word, factor)
+              for name in ("gr2", "gr11") for rule in preset(name).rules
+              for word in rule.rhs.terms for i, factor in enumerate(factors)]
+    assert len(faults) == 98
+    assert [m for m in faults if mutation_witness(m) is None] == []
 
 
 def _rule_values(pres):
