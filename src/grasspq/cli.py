@@ -593,6 +593,12 @@ def build_arg_parser():
 
 def main(argv=None) -> int:
     ap = build_arg_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes an expression that starts with a minus sign for an
+    # unknown option unless it follows "--", so it is moved there
+    signed = [a for a in argv if a[:1] == "-" and a[1:2] not in ("", "-") and a != "-h"]
+    if argv[:1] in (["reduce"], ["check"]) and len(signed) == 1 and "--" not in argv:
+        argv = [a for a in argv if a != signed[0]] + ["--", signed[0]]
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:
@@ -600,10 +606,8 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (ExprSyntaxError, UnknownGenerator, NegativePowerOfNonInvertible) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:  # unreadable --preset-file
+    except (ExprSyntaxError, UnknownGenerator, NegativePowerOfNonInvertible,
+            OSError, UnicodeDecodeError) as exc:  # the last two: an unreadable --preset-file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:

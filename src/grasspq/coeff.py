@@ -381,6 +381,8 @@ class RatFunc:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
+        if self.den == other.den:  # most often both the shared unit
+            return self.num == other.num
         return (self.num * other.den) == (other.num * self.den)
 
     __hash__ = None
@@ -447,13 +449,14 @@ class RatFunc:
         """Simultaneously substitute rational functions for p and/or q."""
         if p_val is None and q_val is None:
             return self
-        pv = p_val if p_val is not None else RatFunc.p()
-        qv = q_val if q_val is not None else RatFunc.q()
-        num = _subst_laurent(self.num, pv, qv)
-        den = _subst_laurent(self.den, pv, qv)
+        pv = p_val if p_val is not None else P
+        qv = q_val if q_val is not None else Q
+        monomial = all(v.den is _UNIT and len(v.num.terms) == 1 for v in (pv, qv))
+        subst = _subst_monomials if monomial else _subst_laurent
+        num, den = subst(self.num, pv, qv), subst(self.den, pv, qv)
         if den.is_zero:
             raise SingularSpecialization("substitution kills a denominator")
-        return num / den
+        return RatFunc(num, den) if monomial else num / den
 
     # -- printing ---------------------------------------------------------
 
@@ -501,17 +504,34 @@ def evaluator(p0, q0) -> Callable[[RatFunc], Fraction]:
     return lambda f: Fraction(*pair(f))
 
 
-def _subst_laurent(poly: LaurentPoly, pv: RatFunc, qv: RatFunc) -> RatFunc:
-    total = RatFunc.zero()
+def _subst_monomials(poly: LaurentPoly, pv: RatFunc, qv: RatFunc) -> LaurentPoly:
+    """poly at p := c1 p^i q^j, q := c2 p^k q^l: (a, b) -> (ai + bk, aj + bl), times c1^a c2^b."""
+    ((i, j), c1), = pv.num.terms.items()
+    ((k, l), c2), = qv.num.terms.items()
+    out: dict[ExpPair, int | Fraction] = {}
     for (a, b), c in poly.terms.items():
-        total = total + RatFunc.const(c) * pv**a * qv**b
-    return total
+        e = (a * i + b * k, a * j + b * l)
+        if c1 != 1 or c2 != 1:  # Fraction powers: an int ** -n is a float
+            c = c * Fraction(c1) ** a * Fraction(c2) ** b
+        out[e] = out.get(e, 0) + c
+    return LaurentPoly(out)  # drops the terms that cancelled
+
+
+def _subst_laurent(poly: LaurentPoly, pv: RatFunc, qv: RatFunc) -> RatFunc:
+    return sum((RatFunc.const(c) * pv**a * qv**b for (a, b), c in poly.terms.items()), ZERO)
 
 
 def qnum(n: int, t: RatFunc) -> RatFunc:
     """Deformed integer <n>_t = 1 + t + ... + t^(n-1); <0> is the empty sum."""
     if n < 0:
         raise ValueError("qnum needs a nonnegative integer")
+    if t.den is _UNIT:  # a Laurent t: its powers summed in one map
+        terms, power = {}, _UNIT
+        for _ in range(n):
+            for e, c in power.terms.items():
+                terms[e] = terms.get(e, 0) + c
+            power = power * t.num
+        return RatFunc(LaurentPoly(terms))
     total = RatFunc.zero()
     power = RatFunc.one()
     for _ in range(n):

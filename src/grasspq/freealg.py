@@ -468,19 +468,24 @@ def orient(relation: Poly, pres: Presentation) -> RewriteRule:
 
 
 def _ambiguities(rules: Sequence[RewriteRule]):
-    """All overlap and inclusion ambiguities, each once; yields the key
-    (word, pos1, rule1, pos2, rule2)."""
-    for (i1, r1), (i2, r2) in itertools.product(enumerate(rules), repeat=2):
-        l1, l2 = r1.lhs, r2.lhs
-        # proper overlap: a suffix of l1 is a prefix of l2
-        for k in range(1, min(len(l1), len(l2))):
-            if l1[-k:] == l2[:k]:
-                yield l1 + l2[k:], 0, r1, len(l1) - k, r2
-        # inclusion: l2 occurs strictly inside l1, or two rules share an lhs
-        if len(l2) < len(l1) or l2 == l1 and i1 < i2:
-            for i in range(len(l1) - len(l2) + 1):
-                if l1[i:i + len(l2)] == l2:
-                    yield l1, 0, r1, i, r2
+    """All overlap and inclusion ambiguities, each once, by rule1 and then
+    rule2 in rule order; yields the key (word, pos1, rule1, pos2, rule2).
+    Only a rule2 whose lhs starts with a letter of rule1's lhs can meet it."""
+    by_first: dict[str, list[tuple[int, RewriteRule]]] = {}
+    for i2, r2 in enumerate(rules):
+        by_first.setdefault(r2.lhs[0], []).append((i2, r2))
+    for i1, r1 in enumerate(rules):
+        for i2, r2 in sorted(pair for x in set(r1.lhs) for pair in by_first.get(x, ())):
+            l1, l2 = r1.lhs, r2.lhs
+            # proper overlap: a suffix of l1 is a prefix of l2
+            for k in range(1, min(len(l1), len(l2))):
+                if l1[-k:] == l2[:k]:
+                    yield l1 + l2[k:], 0, r1, len(l1) - k, r2
+            # inclusion: l2 occurs strictly inside l1, or two rules share an lhs
+            if len(l2) < len(l1) or l2 == l1 and i1 < i2:
+                for i in range(len(l1) - len(l2) + 1):
+                    if l1[i:i + len(l2)] == l2:
+                        yield l1, 0, r1, i, r2
 
 
 def _difference(key, pres: Presentation) -> Poly:

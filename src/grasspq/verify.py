@@ -4,6 +4,7 @@ faults that the suites must catch."""
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 from functools import lru_cache
 from typing import NamedTuple
@@ -118,6 +119,16 @@ def reference_spans(kind: str) -> tuple[Span, Span]:
     return Span(rtt_entries(kind)), Span(plane_references(kind)[0])
 
 
+_relation_spans: weakref.WeakKeyDictionary[Presentation, Span] = weakref.WeakKeyDictionary()
+
+
+def relation_span(pres: Presentation) -> Span:
+    """pres's relation span, kept while pres lives; racing first calls may make two."""
+    if pres not in _relation_spans:
+        _relation_spans[pres] = Span(pres.relation_polys())
+    return _relation_spans[pres]
+
+
 def _family_checks(report: Report, pres: Presentation, kind: str) -> None:
     """The checks both matrix families share, against the references of
     FAMILIES[kind].  RTT soundness reduces the free-algebra residual
@@ -125,13 +136,13 @@ def _family_checks(report: Report, pres: Presentation, kind: str) -> None:
     form is linear; the entries span the relations, so do the relations
     derived from the plane maps both ways, and q := p in pres gives the
     rules of build(p, p).  The span checks read the cached reference
-    spans, so a pass row-reduces only the relations of pres and their
-    union with each reference."""
+    spans and pres's relation span, so a warm pass row-reduces only their
+    union."""
     fam = FAMILIES[kind]
     residual = rtt_entries(kind)
     report.add(_matrix_residual_check(
         fam.soundness, AlgMatrix(4, 4, residual, pres), fam.soundness_ref))
-    relations = Span(pres.relation_polys())
+    relations = relation_span(pres)
     rtt_span, derived_span = reference_spans(kind)
     _flatten(report, span_equal(rtt_span, relations, seed=report.seed,
                                 label=f"{report.suite}-rtt"), "rtt_completeness")

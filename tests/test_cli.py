@@ -503,6 +503,25 @@ def test_sums_and_unary_minus_runs_of_any_length_fold_in_a_loop():
         0, "-p^2*alpha\n", "")
 
 
+def test_an_expression_may_start_with_a_minus_sign():
+    # argparse would read "-alpha" as an unknown option; the CLI moves the
+    # expression behind "--" itself, wherever it stands among the options
+    for argv in (("reduce", "--preset", "gr2", "-alpha"),
+                 ("reduce", "-alpha", "--preset", "gr2"),
+                 ("reduce", "--preset=gr2", "-alpha"),
+                 ("reduce", "--preset", "gr2", "--", "-alpha")):
+        assert run_cli(*argv) == (0, "-alpha\n", ""), argv
+    assert run_cli("reduce", "--preset", "gr2", "-2*beta*alpha") == (0, "2*p*alpha*beta\n", "")
+    assert run_cli("check", "--preset", "gr2", "-alpha*alpha") == (0, "zero: identity holds\n", "")
+    code, out, _ = run_cli("check", "--preset", "gr2", "-alpha*beta")
+    assert code == 1 and out.startswith("nonzero residual: ")
+    # -h still asks for help, and two signed arguments are still refused
+    code, out, _ = run_cli("reduce", "--preset", "gr2", "-h")
+    assert code == 0 and out.startswith("usage: grasspq reduce")
+    code, out, _ = run_cli("reduce", "--preset", "gr2", "-alpha", "-beta")
+    assert code == 2 and not out
+
+
 def test_parentheses_nest_at_most_max_nesting_deep(tmp_path):
     assert cli.MAX_NESTING == 64
     nested = "(" * 64 + "alpha" + ")" * 64

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from grasspq.cli import parse_coeff, parse_poly
 from grasspq.coeff import LaurentPoly, ONE, P, Q, RatFunc, ZERO, evaluator, qnum
-from grasspq.errors import SingularEvaluation, ZeroInverse
+from grasspq.errors import SingularEvaluation, SingularSpecialization, ZeroInverse
 from grasspq.freealg import preset
 
 one = RatFunc.one()
@@ -233,6 +233,103 @@ def test_inexact_division_keeps_its_denominator():
     inv = one / (one + P * Q)
     assert inv.den == LaurentPoly.const(1) + LaurentPoly.monomial(1, 1, 1)
     assert str(inv) == "1/(p*q + 1)"
+
+
+# -- Laurent fast paths against their general references ----------------------
+
+def reference_substitute(f, p_val, q_val):
+    """RatFunc.substitute as it was before monomial values took an exponent
+    map: RatFunc powers, sums and one division, for any values."""
+    pv = P if p_val is None else p_val
+    qv = Q if q_val is None else q_val
+
+    def at(poly):
+        total = ZERO
+        for (a, b), c in poly.terms.items():
+            total = total + RatFunc.const(c) * pv**a * qv**b
+        return total
+
+    den = at(f.den)
+    if den.is_zero:
+        raise SingularSpecialization("substitution kills a denominator")
+    return at(f.num) / den
+
+
+def reference_qnum(n, t):
+    """<n>_t as its defining sum t^0 + ... + t^(n-1) of RatFuncs."""
+    total = ZERO
+    for k in range(n):
+        total = total + t**k
+    return total
+
+
+def stored(f):
+    """A RatFunc's stored numerator and denominator maps, and its text."""
+    return f.num.terms, f.den.terms, str(f)
+
+
+SUBSTITUTIONS = [
+    (None, P),  # q := p
+    (P**-1, Q**-1),
+    (None, RatFunc.const(2) * P),
+    (-Q, None),
+    (Q, P),
+    (rf(Fraction(-2, 3), 2, -1), rf(Fraction(5, 7), -1, 3)),
+    (P + Q, None),  # not a monomial: the general path
+    (None, ONE / (ONE - P)),
+]
+
+
+def test_monomial_substitution_matches_the_general_path(rng):
+    samples = [random_ratfunc(rng) for _ in range(150)]
+    samples += [one / (P - Q), (P - Q) / (P + Q**-1), rf(Fraction(3, 4), -2, 5), ZERO]
+    for f in samples:
+        for p_val, q_val in SUBSTITUTIONS:
+            try:
+                expected = stored(reference_substitute(f, p_val, q_val))
+            except SingularSpecialization:
+                with pytest.raises(SingularSpecialization):
+                    f.substitute(p_val, q_val)
+                continue
+            assert stored(f.substitute(p_val, q_val)) == expected, (f, p_val, q_val)
+
+
+def test_monomial_substitution_that_kills_a_denominator_raises():
+    with pytest.raises(SingularSpecialization):
+        (one / (P - Q)).substitute(None, P)
+    with pytest.raises(SingularSpecialization):
+        (one / (P + Q)).substitute(-Q, None)
+
+
+@pytest.mark.parametrize("t", [P * Q, (P * Q) ** -1, one, -one, RatFunc.const(3),
+                               rf(Fraction(2, 3), 1, -1), P + Q, P - Q**-1,
+                               one / (one + P), (P - Q) / (P + Q)],
+                         ids=["pq", "pq_inverse", "one", "minus_one", "three",
+                              "fraction_monomial", "binomial", "cancelling_binomial",
+                              "rational", "rational_binomials"])
+def test_qnum_matches_its_defining_sum(t):
+    for n in range(12):
+        got, expected = qnum(n, t), reference_qnum(n, t)
+        assert got == expected
+        if t.den == LaurentPoly.const(1):  # the one-map sum keeps the stored form
+            assert stored(got) == stored(expected)
+    assert qnum(2, -one).is_zero and qnum(4, -one).is_zero and qnum(3, -one) == one
+
+
+def test_equality_matches_cross_multiplication(rng):
+    samples = [random_ratfunc(rng) for _ in range(60)]
+    pairs = [(a, b) for a, b in zip(samples, samples[1:])]
+    for a, c in zip(samples, reversed(samples)):
+        # equal values: by another route, with a shared unit or equal
+        # non-unit denominators, and in a different stored form
+        pairs += [(a, -(-a)), (a, a + ZERO), (a, RatFunc(a.num, a.den)),
+                  (a + one, RatFunc(a.num + a.den) / RatFunc(a.den))]
+        if c:
+            pairs.append((a, (a * c) / c))
+    for a, b in pairs:
+        crossed = (a.num * b.den) == (b.num * a.den)
+        assert (a == b) == crossed and (b == a) == crossed
+    assert sum(a == b for a, b in pairs) >= 4 * len(samples)
 
 
 # -- field structure ----------------------------------------------------------

@@ -45,7 +45,7 @@ from grasspq.freealg import (
     specialize_presentation,
 )
 from grasspq.reporting import Check
-from grasspq.verify import suite_all
+from grasspq.verify import MUTATIONS, mutate_preset, suite_all
 
 w = Poly.word
 g = Poly.gen
@@ -397,6 +397,43 @@ def test_two_sided_unit_pair_overlaps_resolve():
     names = {c.name for c in report.checks}
     assert any("x*y*x" in n for n in names)
     assert any("y*x*y" in n for n in names)
+
+
+def reference_ambiguities(rules):
+    """_ambiguities as it was before rule2 was looked up by first letter:
+    every ordered pair of rules is scanned.  The reference for
+    test_ambiguities_match_the_pairwise_scan."""
+    for (i1, r1), (i2, r2) in itertools.product(enumerate(rules), repeat=2):
+        l1, l2 = r1.lhs, r2.lhs
+        for k in range(1, min(len(l1), len(l2))):
+            if l1[-k:] == l2[:k]:
+                yield l1 + l2[k:], 0, r1, len(l1) - k, r2
+        if len(l2) < len(l1) or l2 == l1 and i1 < i2:
+            for i in range(len(l1) - len(l2) + 1):
+                if l1[i:i + len(l2)] == l2:
+                    yield l1, 0, r1, i, r2
+
+
+def test_ambiguities_match_the_pairwise_scan(rng):
+    # the same keys in the same order: the order sets completion's
+    # tie-breaks and the order of the overlap checks
+    rule_sets = [preset(name).rules for name in PRESET_NAMES]
+    rule_sets += [mutate_preset(m).rules for m in MUTATIONS]
+    rule_sets.append([RewriteRule(lhs, Poly.zero())
+                      for lhs in (("x", "x", "x"), ("x", "x"), ("y", "x", "y", "x"),
+                                  ("x", "y", "x"), ("x", "x", "x"), ("y",), ("x", "y"))])
+    for _ in range(300):
+        # seeded lhs of one to four letters: self-overlaps such as x*x*x,
+        # inclusions, shared first letters and repeated lhs
+        letters = "xyz"[:rng.randint(1, 3)]
+        rule_sets.append([RewriteRule(tuple(rng.choice(letters) for _ in range(rng.randint(1, 4))),
+                                      Poly.zero()) for _ in range(rng.randint(1, 8))])
+    found = 0
+    for rules in rule_sets:
+        expected = list(reference_ambiguities(rules))
+        assert list(_ambiguities(rules)) == expected, [r.lhs for r in rules]
+        found += len(expected)
+    assert found > 1000
 
 
 def rule_strings(pres):

@@ -1,7 +1,10 @@
 """Suite reports: contents, determinism, JSON schema, fault injection."""
 
+import gc
 import hashlib
 import json
+import sys
+import weakref
 
 import pytest
 
@@ -73,8 +76,11 @@ def test_suite_powers_builds_each_closed_power_once(monkeypatch):
 def test_each_family_reference_is_built_once_per_process(monkeypatch):
     for name in PRESET_NAMES:
         preset(name)  # the presets are built once per process too
+    # the presets and their relation spans live for the whole process, so
+    # every cache is emptied: what earlier tests made does not count
     for cache in (verify.rtt_entries, verify.plane_references, verify.reference_spans):
         cache.cache_clear()
+    verify._relation_spans.clear()
     builds, derivations, spans = [], [], []
     build, derive, span = freealg.build_presentation, verify.derive_relations, verify.Span
 
@@ -101,13 +107,44 @@ def test_each_family_reference_is_built_once_per_process(monkeypatch):
         assert suite_gr2().passed and suite_gr11().passed
     assert builds == ["gr2", "gr11"]
     assert derivations == ["all_odd"] * 2 + ["diag_odd"] * 2
-    # each pass spans the relations once per suite; the reference spans,
-    # with their exact echelons, are made by the first pass alone
+    # the first pass spans the four references and each preset's relations
+    # once, with their exact echelons; the second pass spans nothing
     references = [r for kind in verify.FAMILIES
                   for r in (verify.rtt_entries(kind), verify.plane_references(kind)[0])]
-    assert [len(made) for made in spans[1:]] == [6, 2]
-    assert [sum(any(polys is r for r in references) for polys in made)
-            for made in spans[1:]] == [4, 0]
+    assert [len(made) for made in spans[1:]] == [6, 0]
+    assert sum(any(polys is r for r in references) for polys in spans[1]) == 4
+    relations = [polys for polys in spans[1] if not any(polys is r for r in references)]
+    assert relations == [preset("gr2").relation_polys(), preset("gr11").relation_polys()]
+    for name in ("gr2", "gr11"):
+        assert verify.relation_span(preset(name)) is verify.relation_span(preset(name))
+
+
+def test_a_dropped_presentations_relation_span_is_freed():
+    pres = mutate_preset(MUTATIONS[0])
+    assert not suite_gr2(presentation=pres).passed
+    span = verify.relation_span(pres)
+    assert any(held is span for held in verify._relation_spans.values())
+    dropped = weakref.ref(pres)
+    del pres
+    gc.collect()
+    # the span holds no reference to its presentation, and the cache
+    # lets go of the span with it
+    assert dropped() is None
+    assert not any(held is span for held in verify._relation_spans.values())
+    assert sys.getrefcount(span) == 2  # this name and the call's argument
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.name)
+def test_a_mutated_presentation_gets_its_own_relation_span(mutation):
+    suite = suite_gr2 if mutation.preset_name == "gr2" else suite_gr11
+    assert suite().passed  # the preset's own span is made, or read
+    mutated = mutate_preset(mutation)
+    failed = {c.name for c in suite(presentation=mutated).checks if c.status == "fail"}
+    assert {"rtt_completeness", "derivation_equivalence"} <= failed
+    assert verify.relation_span(mutated).rows == [
+        dict(poly.terms) for poly in mutated.relation_polys()]
+    assert verify.relation_span(mutated) is not verify.relation_span(preset(mutation.preset_name))
+    assert suite().passed
 
 
 # the RTT parameter and grading of each preset's family, written out here
