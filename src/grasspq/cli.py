@@ -202,7 +202,8 @@ class _Parser:
                 raise ExprSyntaxError("expected ')'", self.tok[2])
             self.depth -= 1
         else:
-            raise ExprSyntaxError(f"unexpected token {value!r}", pos)
+            raise ExprSyntaxError("unexpected end of input" if kind == "end"
+                                  else f"unexpected token {value!r}", pos)
         self.tok = next(self.rest)
         return terms
 

@@ -249,24 +249,10 @@ class Presentation:
 
     # -- reduction ----------------------------------------------------------
 
-    def find_reduction(self, w: Word, strategy: str = "leftmost", start: int = 0):
-        """The first redex (position, rule) of w at or after `start` in the
-        strategy's scan order, or None."""
-        # "oddfirst" collapses odd-letter pairs before touching even ones;
-        # it is the safe alternate path for the localized system, where the
-        # non-well-founded order lets a pure rightmost scan expand the
-        # inverse frontier forever ahead of the nilpotent cancellations
-        if strategy == "oddfirst":
-            for i in range(start, len(w)):
-                for rule in self._by_first.get(w[i], ()):
-                    n = len(rule.lhs)
-                    if w[i:i + n] == rule.lhs and any(
-                            self.parities[g] for g in rule.lhs):
-                        return i, rule
-            strategy = "rightmost"
-        positions = (range(start, len(w)) if strategy == "leftmost"
-                     else range(len(w) - 1, start - 1, -1))
-        for i in positions:
+    def find_reduction(self, w: Word, start: int = 0):
+        """The leftmost redex (position, rule) of w at or after `start`, or
+        None."""
+        for i in range(start, len(w)):
             for rule in self._by_first.get(w[i], ()):
                 n = len(rule.lhs)
                 if w[i:i + n] == rule.lhs:
@@ -294,18 +280,14 @@ class Presentation:
         return f"Presentation({self.label!r}, {len(self.generators)} gens, {len(self.rules)} rules)"
 
 
-def normal_form(poly: Poly, pres: Presentation, *, strategy: str = "leftmost") -> Poly:
+def normal_form(poly: Poly, pres: Presentation) -> Poly:
     """Reduce until no rule lhs occurs as a subword.  The result is the
     canonical representative modulo the two-sided ideal of relations.
 
-    The default strategy folds each word letter by letter onto normal
-    words (see the module docstring) through the presentation's map word
-    -> normal form, so a repeated word costs one lookup.  "rightmost" and
-    "oddfirst" rewrite the whole polynomial without the map, as an
-    independent oracle for path independence."""
+    Each word is folded letter by letter onto normal words (see the module
+    docstring) through the presentation's map word -> normal form, so a
+    repeated word costs one lookup."""
     pres.validate(poly)
-    if strategy != "leftmost":
-        return _worklist_normal_form(poly, pres, strategy)
     cache = pres._normal_forms
     fresh: NormalForms = {}
     result: dict[Word, RatFunc] = {}
@@ -423,26 +405,6 @@ def _junction(u: Word, pres: Presentation, fresh: NormalForms):
     for nw, rc in _rewrite_at(u, pos, rule, pres):
         add_scaled(nf, (yield from _fold({nw[:pos]: ONE}, nw[pos:], pres, fresh)), rc)
     return nf
-
-
-def _worklist_normal_form(poly: Poly, pres: Presentation, strategy: str) -> Poly:
-    """Rewrite the whole polynomial with the given redex strategy, term by
-    term from a pending worklist; no cache."""
-    result: dict[Word, RatFunc] = {}
-    pending = dict(poly.terms)
-    steps = 0
-    while pending:
-        w, c = pending.popitem()
-        hit = pres.find_reduction(w, strategy)
-        if hit is None:
-            add_scaled(result, {w: ONE}, c)
-            continue
-        steps += 1
-        if steps > MAX_STEPS:
-            raise DegreeCapExceeded(
-                f"reduction in {pres.label!r} exceeded {MAX_STEPS} steps")
-        add_scaled(pending, dict(_rewrite_at(w, *hit, pres)), c)
-    return Poly(result)
 
 
 def orient(relation: Poly, pres: Presentation) -> RewriteRule:
@@ -796,25 +758,21 @@ def irreducible_words(pres: Presentation, max_length: int) -> list[Word]:
 # ---------------------------------------------------------------------------
 
 def derive_relations(source_plane: Presentation, target_plane: Presentation,
-                     entry_parity: str = "all_odd",
-                     convention: str = "koszul") -> list[Poly]:
+                     entry_parity: str = "all_odd") -> list[Poly]:
     """Quadratic relations a 2x2 matrix of fresh entries t_ij must satisfy
     for the transformed source coordinates x_i -> t_i1 x_1 + t_i2 x_2 to
     obey the target plane's relations.
 
     The image of each target relation is expanded with one (entry,
     coordinate) pair per letter.  Each coordinate x moves right of the later
-    entries t, with the sign (-1)^(|x||t|) per entry under `convention`
-    "koszul" and no sign under "commute", and the coordinate word is
-    reduced in the source plane.  The entry polynomials, grouped by normal
-    coordinate word, are the relations.  No presentation is built: this is
-    the normal form in the entries' free algebra tensor the source plane
-    (Bergman's diamond lemma) when the plane is confluent and, under
-    "koszul", each of its relations has one parity, so that an entry moves
-    past it with one sign.  InconsistentConvention is raised otherwise.
+    entries t with the Koszul sign (-1)^(|x||t|) per entry, and the
+    coordinate word is reduced in the source plane.  The entry polynomials,
+    grouped by normal coordinate word, are the relations.  No presentation
+    is built: this is the normal form in the entries' free algebra tensor
+    the source plane (Bergman's diamond lemma) when the plane is confluent
+    and each of its relations has one parity, so that an entry moves past
+    it with one sign.  InconsistentConvention is raised otherwise.
     """
-    if convention not in ("koszul", "commute"):
-        raise ValueError(f"unknown convention {convention!r}")
     if len(source_plane.generators) != 2 or len(target_plane.generators) != 2:
         raise ValueError("planes must be two-dimensional")
     entries = ENTRY_LAYOUTS[entry_parity]
@@ -822,9 +780,7 @@ def derive_relations(source_plane: Presentation, target_plane: Presentation,
         raise GeneratorMismatch("matrix entries must be fresh generators")
     if not overlap_check(source_plane).passed:
         raise InconsistentConvention(f"source plane {source_plane.label!r} is not confluent")
-    koszul = convention == "koszul"
-    if koszul and any(source_plane.poly_parity(rel) is None
-                      for rel in source_plane.relation_polys()):
+    if any(source_plane.poly_parity(rel) is None for rel in source_plane.relation_polys()):
         raise InconsistentConvention(
             f"a relation of {source_plane.label!r} mixes parities, so no Koszul "
             "sign moves an entry past it")
@@ -843,7 +799,7 @@ def derive_relations(source_plane: Presentation, target_plane: Presentation,
                 # move each coordinate right of the entries picked after it
                 c, odd_after = coeff, 0
                 for (_, t_parity), (_, x_parity) in reversed(picks):
-                    if koszul and x_parity and odd_after:
+                    if x_parity and odd_after:
                         c = -c
                     odd_after ^= t_parity
                 heads = image.setdefault(tuple(x for _, (x, _) in picks), {})

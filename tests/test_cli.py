@@ -522,6 +522,17 @@ def test_an_expression_may_start_with_a_minus_sign():
     assert code == 2 and not out
 
 
+def test_a_missing_operand_at_the_end_is_reported_as_end_of_input(tmp_path):
+    for argv in (("alpha +",), ("alpha*(beta +",), ("(",), ("--", "-")):
+        code, out, err = run_cli("reduce", "--preset", "gr2", *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: unexpected end of input (at position {len(argv[-1])})\n"
+    path = tmp_path / "bad.preset"
+    path.write_text("generator alpha odd\nrelation alpha +\n")
+    assert run_cli("reduce", "--preset-file", str(path), "alpha") == (
+        2, "", "error: unexpected end of input (at position 7)\n")
+
+
 def test_parentheses_nest_at_most_max_nesting_deep(tmp_path):
     assert cli.MAX_NESTING == 64
     nested = "(" * 64 + "alpha" + ")" * 64

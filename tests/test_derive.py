@@ -16,6 +16,7 @@ from grasspq.freealg import (
     preset,
 )
 from grasspq.matops import span_equal
+from test_freealg import reference_derive
 
 w = Poly.word
 
@@ -63,25 +64,17 @@ def test_degenerate_same_plane_even_entries():
 
 def test_commute_convention_differs_from_koszul():
     # with mixed entry parities the Koszul signs are load-bearing: the
-    # unsigned convention derives a different span and misses the
-    # supergroup relations
-    def both(convention):
-        return (derive_relations(preset("plane_p11"), preset("plane_q11_dual"),
-                                 "diag_odd", convention=convention)
-                + derive_relations(preset("plane_q11_dual"), preset("plane_p11"),
-                                   "diag_odd", convention=convention))
+    # unsigned convention, which only the test-side reference keeps,
+    # derives a different span and misses the supergroup relations
+    def both(derive, *convention):
+        return (derive(preset("plane_p11"), preset("plane_q11_dual"), "diag_odd", *convention)
+                + derive(preset("plane_q11_dual"), preset("plane_p11"), "diag_odd", *convention))
 
-    koszul = both("koszul")
-    plain = both("commute")
+    koszul = both(derive_relations)
+    plain = both(reference_derive, "commute")
     assert not span_equal(koszul, plain, label="conventions").passed
     assert not span_equal(plain, preset("gr11").relation_polys(),
                           label="commute-vs-gr11").passed
-
-
-def test_unknown_convention_rejected():
-    with pytest.raises(ValueError):
-        derive_relations(preset("plane_p20"), preset("plane_q02"), "all_odd",
-                         convention="mystery")
 
 
 @pytest.mark.parametrize("kind", ["diag_odd", "all_odd"])
@@ -92,8 +85,6 @@ def test_a_parity_mixed_source_plane_is_refused_under_koszul(kind):
     mixed = build_presentation("mixed", [("x", EVEN), ("xi", ODD)], [w("x", "x") - w("xi", "x")])
     with pytest.raises(InconsistentConvention, match="mixes parities"):
         derive_relations(mixed, preset("plane_p20"), kind)
-    # without signs the relation moves past an entry as it is
-    assert derive_relations(mixed, preset("plane_p20"), kind, convention="commute")
 
 
 def test_a_non_confluent_source_plane_is_refused():
@@ -101,6 +92,5 @@ def test_a_non_confluent_source_plane_is_refused():
     skew = Presentation("skew", [("x", EVEN), ("y", EVEN)], [
         RewriteRule(("y", "y"), w("x", "x")), RewriteRule(("y", "x"), w("x", "y", coeff=P))])
     assert not overlap_check(skew).passed
-    for convention in ("koszul", "commute"):
-        with pytest.raises(InconsistentConvention, match="not confluent"):
-            derive_relations(skew, preset("plane_p20"), "all_even", convention)
+    with pytest.raises(InconsistentConvention, match="not confluent"):
+        derive_relations(skew, preset("plane_p20"), "all_even")

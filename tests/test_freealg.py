@@ -97,6 +97,43 @@ def test_presentation_takes_plain_pairs_ordered_by_position():
 
 # -- normal forms ---------------------------------------------------------------
 
+def reference_normal_form(poly, pres, strategy):
+    """Path-independence oracle: whole words rewritten from a worklist with
+    no map, at the rightmost redex, or under "oddfirst" at the leftmost
+    redex whose lhs has an odd letter, else the rightmost.  oddfirst is the
+    safe alternate path for gr11_localized, where the non-well-founded
+    order lets a pure rightmost scan expand the inverse frontier forever
+    ahead of the nilpotent cancellations.  It scans only pres.rules and
+    pres.parities, not the engine's index or map."""
+    def add(acc, word, c):
+        total = acc[word] + c if word in acc else c
+        if total:
+            acc[word] = total
+        else:
+            del acc[word]
+
+    def first(word, positions, rules):
+        return next(((i, rule) for i in positions for rule in rules
+                     if word[i:i + len(rule.lhs)] == rule.lhs), None)
+
+    odd_rules = [rule for rule in pres.rules if any(pres.parities[x] for x in rule.lhs)]
+    result, pending, steps = {}, dict(poly.terms), 0
+    while pending:
+        word, c = pending.popitem()
+        hit = ((strategy == "oddfirst" and first(word, range(len(word)), odd_rules))
+               or first(word, range(len(word) - 1, -1, -1), pres.rules))
+        if hit is None:
+            add(result, word, c)
+            continue
+        steps += 1
+        if steps > freealg.MAX_STEPS:
+            raise DegreeCapExceeded(
+                f"reduction in {pres.label!r} exceeded {freealg.MAX_STEPS} steps")
+        for nw, rc in _rewrite_at(word, *hit, pres):
+            add(pending, nw, rc * c)
+    return Poly(result)
+
+
 def test_odd_diagonal_anticommutes():
     pres = preset("gr2")
     assert normal_form(w("delta", "alpha"), pres) == -w("alpha", "delta")
@@ -110,8 +147,8 @@ def test_squares_vanish():
 def test_cubic_word_two_reduction_paths_agree():
     pres = preset("gr2")
     word = w("gamma", "beta", "alpha")
-    left = normal_form(word, pres, strategy="leftmost")
-    right = normal_form(word, pres, strategy="rightmost")
+    left = normal_form(word, pres)
+    right = reference_normal_form(word, pres, "rightmost")
     expected = w("alpha", "beta", "gamma", coeff=-(Q**2))
     assert left == expected
     assert right == expected
@@ -241,7 +278,7 @@ def test_the_normal_form_map_stays_within_its_bound(name, rng, monkeypatch):
         got = normal_form(poly, pres)
         assert len(pres._normal_forms) <= 50
         emptied |= len(pres._normal_forms) < size
-        assert all((got - normal_form(poly, pres, strategy=s)).is_zero for s in oracles), word
+        assert all((got - reference_normal_form(poly, pres, s)).is_zero for s in oracles), word
     assert emptied
 
 
@@ -252,7 +289,7 @@ def test_a_call_with_more_new_entries_than_the_bound_publishes_none(monkeypatch)
     before = dict(pres._normal_forms)
     monkeypatch.setattr(freealg, "MAX_CACHED", 20)
     word = w(*("c", "b") * 3)
-    assert normal_form(word, pres) == normal_form(word, pres, strategy="oddfirst")
+    assert normal_form(word, pres) == reference_normal_form(word, pres, "oddfirst")
     assert pres._normal_forms == before
 
 
@@ -270,7 +307,7 @@ def test_every_entry_of_every_preset_map_is_the_normal_form_of_its_word(rng):
         for word in random_words(rng, pres, 60):
             normal_form(Poly({word: ONE}), pres)
         for u, nf in pres._normal_forms.items():
-            assert Poly(nf) == normal_form(Poly({u: ONE}), pres, strategy="oddfirst"), (name, u)
+            assert Poly(nf) == reference_normal_form(Poly({u: ONE}), pres, "oddfirst"), (name, u)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -281,7 +318,7 @@ def test_cached_leftmost_agrees_with_uncached_oracles(name, rng):
     pres = cold_copy(preset(name))
     for word in random_words(rng, pres, 60):
         poly = Poly({word: P - Q})
-        expected = [normal_form(poly, pres, strategy=s) for s in oracles]
+        expected = [reference_normal_form(poly, pres, s) for s in oracles]
         for _ in range(2):  # the first call fills the cache, the second reads it
             got = normal_form(poly, pres)
             assert all((got - e).is_zero for e in expected), word
@@ -607,11 +644,11 @@ def reference_derive(source_plane, target_plane, entry_parity="all_odd",
 PLANES = ("plane_p20", "plane_q02", "plane_p11", "plane_q11_dual")
 
 
-@pytest.mark.parametrize("convention", ["koszul", "commute"])
+@pytest.mark.parametrize("convention", ["koszul"])
 @pytest.mark.parametrize("kind", sorted(ENTRY_LAYOUTS))
 def test_derivation_matches_the_reference(kind, convention):
     for source, target in itertools.product(PLANES, repeat=2):
-        got = derive_relations(preset(source), preset(target), kind, convention)
+        got = derive_relations(preset(source), preset(target), kind)
         want = reference_derive(preset(source), preset(target), kind, convention)
         assert len(got) == len(want), (source, target)
         assert all(a == b for a, b in zip(got, want)), (source, target)
@@ -708,9 +745,30 @@ def test_normal_forms_are_path_independent(rng):
         if name == "gr11_localized":
             words += [word for n in range(6) for word in itertools.product(names, repeat=n)]
         for word in words:
-            a = normal_form(Poly({word: ONE}), pres, strategy="leftmost")
-            b = normal_form(Poly({word: ONE}), pres, strategy=alt)
+            a = normal_form(Poly({word: ONE}), pres)
+            b = reference_normal_form(Poly({word: ONE}), pres, alt)
             assert (a - b).is_zero, word
+
+
+def test_path_independence_on_long_even_heavy_words(rng):
+    # 8-16 even letters with one odd letter inserted, so up to 17 letters
+    # where the random words above have at most 6; rightmost is unsafe over
+    # the localized order, so that preset runs under oddfirst only
+    cases = {"gr11": ("rightmost", "oddfirst"), "gr11_inverse": ("rightmost", "oddfirst"),
+             "gr11_localized": ("oddfirst",)}
+    for name, oracles in cases.items():
+        pres = cold_copy(preset(name))
+        even = [gen.name for gen in pres.generators if gen.parity == EVEN]
+        odd = [gen.name for gen in pres.generators if gen.parity == ODD]
+        seen = set()
+        for _ in range(10):
+            word = [rng.choice(even) for _ in range(rng.randint(8, 16))]
+            word.insert(rng.randint(0, len(word)), rng.choice(odd))
+            seen.update(word)
+            poly = Poly({tuple(word): P - Q})
+            got = normal_form(poly, pres)
+            assert all(got == reference_normal_form(poly, pres, s) for s in oracles), word
+        assert seen == set(even + odd)  # binv and cinv among them on gr11_localized
 
 
 # -- reduction is linear and idempotent ----------------------------------------------
