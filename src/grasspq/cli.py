@@ -24,7 +24,8 @@ divisor.  Negative powers are allowed on scalars and on generators with
 a declared inverse; a scalar power is one exponentiation.  Inputs are
 bounded before anything is built: words by the presentation's length
 cap, coefficients by MAX_COEFF_SPAN and MAX_INT_BITS, integer literals
-by MAX_LITERAL_DIGITS.
+by MAX_LITERAL_DIGITS, the free expansion of a product or power by
+MAX_INPUT_TERMS.
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ MAX_COEFF_SPAN = 64
 # digits).  The literal bound is the wider, so whatever prints parses back.
 MAX_LITERAL_DIGITS = 4000
 MAX_INT_BITS = 8192
+
+# The most free terms a product or power in an input may expand to, held
+# before it is formed: (alpha+beta)^16 reaches it.
+MAX_INPUT_TERMS = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +157,9 @@ class _Parser:
             else:
                 _hold_length(_longest(acc) + _longest(right), self.pres)
                 _hold_coeffs(acc, right)
+                if len(acc) * len(right) > MAX_INPUT_TERMS:
+                    raise DegreeCapExceeded(f"input product of {len(acc)} by {len(right)} "
+                                            f"terms exceeds the bound {MAX_INPUT_TERMS}")
                 acc = product_terms(acc, right)
         return acc
 
@@ -302,7 +310,10 @@ def _power(base: dict[Word, RatFunc], n: int, pres: Presentation) -> dict[Word, 
         value = scalar ** n
         return {(): value} if value else {}
     if n >= 0:
-        _hold_length(_longest(base) * n, pres)
+        _hold_length(_longest(base) * n, pres)  # so n is at most the word cap
+        if len(base) ** n > MAX_INPUT_TERMS:
+            raise DegreeCapExceeded(f"input power of {len(base)} terms to the {n} "
+                                    f"exceeds the bound {MAX_INPUT_TERMS}")
         out = {(): ONE}
         for _ in range(n):
             out = product_terms(out, base)

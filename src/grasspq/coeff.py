@@ -525,13 +525,6 @@ def qnum(n: int, t: RatFunc) -> RatFunc:
     """Deformed integer <n>_t = 1 + t + ... + t^(n-1); <0> is the empty sum."""
     if n < 0:
         raise ValueError("qnum needs a nonnegative integer")
-    if t.den is _UNIT:  # a Laurent t: its powers summed in one map
-        terms, power = {}, _UNIT
-        for _ in range(n):
-            for e, c in power.terms.items():
-                terms[e] = terms.get(e, 0) + c
-            power = power * t.num
-        return RatFunc(LaurentPoly(terms))
     total = RatFunc.zero()
     power = RatFunc.one()
     for _ in range(n):

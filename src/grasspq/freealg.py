@@ -33,7 +33,7 @@ from .errors import (
     SingularSpecialization,
     ZeroRelation,
 )
-from .reporting import Check, Report, truncate_poly_text
+from .reporting import Check, Report, truncate_poly_text, verdict
 
 Word = tuple[str, ...]
 NormalForms = dict[Word, dict[Word, RatFunc]]  # word u -> NF(u)
@@ -463,9 +463,7 @@ def residual_check(name: str, residual: Poly, pres: Presentation, ref: str) -> C
     """Pass iff the residual is zero; a failure carries the residual,
     printed in pres and clipped to 32 terms."""
     ok = residual.is_zero
-    text = None if ok else truncate_poly_text(format_poly(residual, pres))
-    return Check(name=name, status="pass" if ok else "fail",
-                 residual=text, paper_ref=ref)
+    return verdict(name, ok, ref, None if ok else truncate_poly_text(format_poly(residual, pres)))
 
 
 def overlap_check(pres: Presentation) -> Report:
@@ -477,10 +475,8 @@ def overlap_check(pres: Presentation) -> Report:
                                   _difference(key, pres), pres,
                                   "both reductions of a shared subword must agree"))
     if not pres.rules:
-        report.add(Check(name="overlap:none", status="pass",
-                         paper_ref="empty rule set is vacuously confluent"))
-    report.finish()
-    return report
+        report.expect("overlap:none", True, "empty rule set is vacuously confluent")
+    return report.finish()
 
 
 def _occurs(part: Word, word: Word) -> bool:

@@ -32,7 +32,7 @@ from .freealg import (
     product_terms,
     residual_check,
 )
-from .reporting import Check, Report
+from .reporting import Report
 
 
 class AlgMatrix:
@@ -382,12 +382,10 @@ def span_equal(s1: Span | Sequence[Poly], s2: Span | Sequence[Poly], *,
     r1, r2 = len(one.echelon), len(two.echelon)
     rb = len(_echelon(two.rows, one.echelon))
     # dim(S1 + S2) equals dim S1 iff S2 lies in S1, and dim S2 iff S1 lies in S2
-    report.add(Check(name="membership_second_in_first",
-                     status="pass" if rb == r1 else "fail",
-                     paper_ref="every element of the second set lies in the first span"))
-    report.add(Check(name="membership_first_in_second",
-                     status="pass" if rb == r2 else "fail",
-                     paper_ref="every element of the first set lies in the second span"))
+    report.expect("membership_second_in_first", rb == r1,
+                  "every element of the second set lies in the first span")
+    report.expect("membership_first_in_second", rb == r2,
+                  "every element of the first set lies in the second span")
     ok_rank = r1 == r2
     points, checked = _admissible_points(random.Random(seed)), 0
     while ok_rank and checked < 5:
@@ -398,9 +396,8 @@ def span_equal(s1: Span | Sequence[Poly], s2: Span | Sequence[Poly], *,
         (_, e1), (rows2, e2) = at1, at2
         ranks = len(e1), len(e2), len(_integer_echelon(rows2, e1))
         ok_rank, checked = ranks == (r1, r1, r1), checked + 1
-    report.add(Check(name="numeric_rank_crosscheck",
-                     status="pass" if ok_rank else "fail",
-                     paper_ref="ranks agree at random admissible (p, q) values"))
+    report.expect("numeric_rank_crosscheck", ok_rank,
+                  "ranks agree at random admissible (p, q) values")
     return report.finish()
 
 
@@ -561,5 +558,4 @@ def power_relations_check(exponent: int, power: AlgMatrix | None = None) -> Repo
     report = Report(suite=f"power_relations:{exponent}")
     for label, expr in family(kind, cp.entries, P**exponent, Q**exponent):
         report.add(residual_check(f"e{exponent}:{label}", normal_form(expr, pres), pres, ref))
-    report.finish()
-    return report
+    return report.finish()

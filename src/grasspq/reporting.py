@@ -3,31 +3,22 @@
 from __future__ import annotations
 
 import time
+from typing import NamedTuple
 
 MAX_RESIDUAL = 512  # characters of a residual that to_text prints
 MAX_TERMS = 32  # terms of a polynomial that truncate_poly_text keeps
 
 
-class Check:
-    __slots__ = ("name", "status", "residual", "paper_ref")
+class Check(NamedTuple):
+    name: str
+    status: str  # pass | fail
+    residual: str | None = None
+    paper_ref: str | None = None  # the identity being checked, spelled out
 
-    def __init__(self, name: str, status: str, residual: str | None = None,
-                 paper_ref: str | None = None):
-        self.name = name
-        self.status = status  # pass | fail
-        self.residual = residual
-        self.paper_ref = paper_ref  # the identity being checked, spelled out
 
-    def _fields(self):
-        return (self.name, self.status, self.residual, self.paper_ref)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Check):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "Check" + repr(self._fields())
+def verdict(name: str, ok: bool, paper_ref: str | None, residual: str | None = None) -> Check:
+    """The one place a bool becomes a pass or a fail."""
+    return Check(name, "pass" if ok else "fail", residual, paper_ref)
 
 
 class Report:
@@ -40,6 +31,17 @@ class Report:
 
     def add(self, check: Check) -> None:
         self.checks.append(check)
+
+    def expect(self, name: str, ok: bool, paper_ref: str | None,
+               residual: str | None = None) -> None:
+        self.add(verdict(name, ok, paper_ref, residual))
+
+    def absorb(self, name: str, sub: Report) -> None:
+        """One check standing for the whole of sub; a failure names sub's
+        first failing check and its residual."""
+        first = next(iter(sub.failures()), None)
+        self.expect(name, first is None, sub.suite,
+                    None if first is None else f"{first.name}: {first.residual or 'failed'}")
 
     def finish(self) -> Report:
         self.checks.sort(key=lambda c: c.name)
@@ -55,19 +57,14 @@ class Report:
 
     def signature(self):
         """Everything except timing; two runs with the same seed must agree."""
-        return (self.suite, self.seed,
-                tuple(c._fields() for c in self.checks))
+        return (self.suite, self.seed, tuple(tuple(c) for c in self.checks))
 
     def to_json(self) -> str:
         import json
 
         doc = {
             "suite": self.suite,
-            "checks": [
-                {"name": c.name, "status": c.status, "residual": c.residual,
-                 "paper_ref": c.paper_ref}
-                for c in self.checks
-            ],
+            "checks": [c._asdict() for c in self.checks],
             "seed": self.seed,
             "elapsed_ms": round(self.elapsed_ms, 3),
         }

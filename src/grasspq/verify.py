@@ -49,26 +49,14 @@ from .matops import (
     span_equal,
     tensor_graded,
 )
-from .reporting import Check, Report, truncate_poly_text
+from .reporting import Check, Report, truncate_poly_text, verdict
 
 DEFAULT_SEED = 20240915
 
 
 def _matrix_residual_check(name: str, residual: AlgMatrix, ref: str) -> Check:
     ok = residual.is_zero
-    text = None if ok else truncate_poly_text(repr(residual))
-    return Check(name=name, status="pass" if ok else "fail",
-                 residual=text, paper_ref=ref)
-
-
-def _flatten(report: Report, sub: Report, prefix: str) -> None:
-    ok = sub.passed
-    witness = None
-    if not ok:
-        first = sub.failures()[0]
-        witness = f"{first.name}: {first.residual or 'failed'}"
-    report.add(Check(name=prefix, status="pass" if ok else "fail",
-                     residual=witness, paper_ref=sub.suite))
+    return verdict(name, ok, ref, None if ok else truncate_poly_text(repr(residual)))
 
 
 class Family(NamedTuple):
@@ -144,16 +132,15 @@ def _family_checks(report: Report, pres: Presentation, kind: str) -> None:
         fam.soundness, AlgMatrix(4, 4, residual, pres), fam.soundness_ref))
     relations = relation_span(pres)
     rtt_span, derived_span = reference_spans(kind)
-    _flatten(report, span_equal(rtt_span, relations, seed=report.seed,
-                                label=f"{report.suite}-rtt"), "rtt_completeness")
-    _flatten(report, span_equal(derived_span, relations, seed=report.seed,
-                                label=f"{report.suite}-derive"), "derivation_equivalence")
+    report.absorb("rtt_completeness", span_equal(rtt_span, relations, seed=report.seed,
+                                                 label=f"{report.suite}-rtt"))
+    report.absorb("derivation_equivalence", span_equal(derived_span, relations, seed=report.seed,
+                                                       label=f"{report.suite}-derive"))
     spec = specialize_presentation(pres, {"q": P})
     direct = plane_references(kind)[1]
     same = [(r.lhs, r.rhs) for r in spec.rules] == [(r.lhs, r.rhs) for r in direct.rules]
-    report.add(Check(name="degeneration_q_eq_p",
-                     status="pass" if same else "fail",
-                     paper_ref="q := p collapses to the one-parameter deformation"))
+    report.expect("degeneration_q_eq_p", same,
+                  "q := p collapses to the one-parameter deformation")
 
 
 def suite_gr2(seed: int = DEFAULT_SEED, *, presentation: Presentation | None = None) -> Report:
@@ -162,14 +149,12 @@ def suite_gr2(seed: int = DEFAULT_SEED, *, presentation: Presentation | None = N
     pres = presentation or preset("gr2")
     report = Report(suite="gr2", seed=seed)
 
-    _flatten(report, overlap_check(pres), "confluence")
+    report.absorb("confluence", overlap_check(pres))
 
-    words = irreducible_words(pres, 5)
-    report.add(Check(
-        name="dimension_16",
-        status="pass" if len(words) == 16 else "fail",
-        residual=None if len(words) == 16 else f"found {len(words)} irreducible words",
-        paper_ref="nilpotency and the 10 quadratic relations force dimension 16"))
+    found = len(irreducible_words(pres, 5))
+    report.expect("dimension_16", found == 16,
+                  "nilpotency and the 10 quadratic relations force dimension 16",
+                  None if found == 16 else f"found {found} irreducible words")
 
     a = generic_gr2(pres)
     dl = delta_left(a)
@@ -200,9 +185,9 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
     loc = preset("gr11_localized")
     report = Report(suite="gr11", seed=seed)
 
-    _flatten(report, overlap_check(pres), "confluence")
-    _flatten(report, overlap_check(loc), "confluence_localized")
-    _flatten(report, overlap_check(preset("gr11_inverse")), "confluence_inverse_family")
+    report.absorb("confluence", overlap_check(pres))
+    report.absorb("confluence_localized", overlap_check(loc))
+    report.absorb("confluence_inverse_family", overlap_check(preset("gr11_inverse")))
 
     m = generic_gr11(pres)
     g = Poly.gen
@@ -236,11 +221,8 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
 
     bad = [label for label, expr in family("diag_odd", minv.entries, P**-1, Q**-1)
            if not normal_form(expr, loc).is_zero]
-    report.add(Check(
-        name="inverse_entry_relations",
-        status="pass" if not bad else "fail",
-        residual=", ".join(bad) or None,
-        paper_ref="inverse entries obey the relations at (p^-1, q^-1)"))
+    report.expect("inverse_entry_relations", not bad,
+                  "inverse entries obey the relations at (p^-1, q^-1)", ", ".join(bad) or None)
 
     dl = sdet(ml, "left")
     drr = sdet(ml, "right")
@@ -261,9 +243,8 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
                                   "sdet g = pq^-1 g sdet"))
         comm = normal_form(dl * gen - gen * dl, loc)
         central.append(specialize(comm, {"q": P}).is_zero)
-    report.add(Check(name="sdet_central_at_p_eq_q",
-                     status="pass" if all(central) else "fail",
-                     paper_ref="the superdeterminant becomes central at p = q"))
+    report.expect("sdet_central_at_p_eq_q", all(central),
+                  "the superdeterminant becomes central at p = q")
 
     return report.finish()
 
@@ -284,16 +265,12 @@ def suite_powers(max_n: int = 3, seed: int = DEFAULT_SEED) -> Report:
         report.add(_matrix_residual_check(
             f"closed_vs_iterated_e{e}", closed - acc,
             "closed-form entries equal the iterated product"))
-        _flatten(report, power_relations_check(e, closed), f"relations_e{e}")
+        report.absorb(f"relations_e{e}", power_relations_check(e, closed))
     ok = all(qnum(n, t) * (ONE - t) == ONE - t**n
              for t in (P * Q, (P * Q) ** 2, (P * Q) ** -1) for n in range(17))
-    report.add(Check(name="qnum_telescopes",
-                     status="pass" if ok else "fail",
-                     paper_ref="<n>_t (1 - t) = 1 - t^n"))
-    report.add(Check(
-        name="exponent1_literal_collapse",
-        status="pass" if _literal_first_power_collapses() else "fail",
-        paper_ref="at exponent 1 the closed form's (bc)^-1 factor cancels in the localization"))
+    report.expect("qnum_telescopes", ok, "<n>_t (1 - t) = 1 - t^n")
+    report.expect("exponent1_literal_collapse", _literal_first_power_collapses(),
+                  "at exponent 1 the closed form's (bc)^-1 factor cancels in the localization")
     return report.finish()
 
 
@@ -311,8 +288,7 @@ def suite_all(max_n: int = 3, seed: int = DEFAULT_SEED) -> Report:
     report = Report(suite="all", seed=seed)
     for sub in (suite_gr2(seed), suite_gr11(seed), suite_powers(max_n, seed)):
         for check in sub.checks:
-            report.add(Check(name=f"{sub.suite}:{check.name}", status=check.status,
-                             residual=check.residual, paper_ref=check.paper_ref))
+            report.add(check._replace(name=f"{sub.suite}:{check.name}"))
     return report.finish()
 
 
@@ -396,9 +372,7 @@ def fault_injection_report(seed: int = DEFAULT_SEED) -> Report:
     report = Report(suite="fault_injection", seed=seed)
     for mutation in MUTATIONS:
         witness = mutation_witness(mutation)
-        report.add(Check(
-            name=f"caught:{mutation.name}",
-            status="pass" if witness else "fail",
-            residual=witness or "mutated preset slipped through every check",
-            paper_ref="single-coefficient faults must be detected"))
+        report.expect(f"caught:{mutation.name}", bool(witness),
+                      "single-coefficient faults must be detected",
+                      witness or "mutated preset slipped through every check")
     return report.finish()

@@ -18,6 +18,7 @@ from grasspq import cli, matops
 from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.errors import (
     AlgebraError,
+    DegreeCapExceeded,
     ExprSyntaxError,
     NegativePowerOfNonInvertible,
     UnknownGenerator,
@@ -477,6 +478,43 @@ def test_coefficient_powers_past_the_span_bound_fail_at_once():
     # a monomial spans nothing, whatever its exponents
     assert run_cli("reduce", "--preset", "gr2", "p^-500*q^700*alpha") == (
         0, "p^-500*q^700*alpha\n", "")
+
+
+def test_powers_past_the_term_bound_fail_at_once():
+    assert cli.MAX_INPUT_TERMS == 2**16
+    start = time.perf_counter()
+    code, out, err = run_cli("reduce", "--preset", "gr2", "(alpha+beta)^64")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert err == "error: input power of 2 terms to the 64 exceeds the bound 65536\n"
+    # the word cap holds first, so a long exponent is never raised to
+    code, _, err = run_cli("reduce", "--preset", "gr2", "(alpha+beta)^" + "9" * 4000)
+    assert code == 1 and "exceeds the cap 64" in err
+    # at the bound: 65,536 free terms, which gr2's nilpotency sends to 0
+    assert run_cli("reduce", "--preset", "gr2", "(alpha+beta)^16") == (0, "0\n", "")
+
+
+def test_product_chains_past_the_term_bound_fail_at_once():
+    chain = "*".join(["(alpha+beta)"] * 18)
+    start = time.perf_counter()
+    code, out, err = run_cli("reduce", "--preset", "gr2", chain)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and not out
+    assert err == "error: input product of 65536 by 2 terms exceeds the bound 65536\n"
+    # one-word factors extend every word and add no terms
+    assert run_cli("reduce", "--preset", "gr2", "(alpha+beta)^16*alpha*alpha")[0] == 0
+
+
+def test_preset_file_relations_are_held_to_the_term_bound(tmp_path):
+    text = ("generator x even\ngenerator y even\n"
+            "relation " + "*".join(["(x+y)"] * 17) + "\n")
+    with pytest.raises(DegreeCapExceeded, match="exceeds the bound 65536"):
+        load_presentation(text)
+    path = tmp_path / "wide.preset"
+    path.write_text(text)
+    code, out, err = run_cli("reduce", "--preset-file", str(path), "x")
+    assert code == 1 and not out
+    assert err == "error: input product of 65536 by 2 terms exceeds the bound 65536\n"
 
 
 def test_coefficient_products_and_quotients_add_their_spans():

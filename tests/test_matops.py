@@ -191,6 +191,43 @@ def test_rhat_at_zero_middle_diagonal():
     assert r[0][0] == P + Q**-1
 
 
+def _kron(a, b):
+    return [[x * y for x in row_a for y in row_b] for row_a in a for row_b in b]
+
+
+def _times(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), zero_rf) for col in zip(*b)] for row in a]
+
+
+def _braids(r):
+    """R12 R23 R12 = R23 R12 R23 for R12 = R (x) I and R23 = I (x) R, in
+    exact 8x8 products."""
+    eye = [[one, zero_rf], [zero_rf, one]]
+    r12, r23 = _kron(r, eye), _kron(eye, r)
+    return _times(_times(r12, r23), r12) == _times(_times(r23, r12), r23)
+
+
+def test_rhat_does_not_braid():
+    # the shipped R-matrix gives the RTT relations, but is no braid solution
+    assert not _braids(rhat(one))
+    assert not _braids(rhat(-one))
+
+
+def test_two_parameter_hecke_matrices_braid():
+    z, pq = zero_rf, P * Q
+    even = [[one, z, z, z], [z, z, P, z], [z, Q, one - pq, z], [z, z, z, one]]
+    odd = [[-one, z, z, z], [z, z, P, z], [z, Q, pq - one, z], [z, z, z, pq]]
+
+    def shifted(r, c):
+        return [[x + (c if i == j else z) for j, x in enumerate(row)] for i, row in enumerate(r)]
+
+    # (R - 1)(R + pq) = 0 and (R' + 1)(R' - pq) = 0
+    zero4 = [[z] * 4 for _ in range(4)]
+    assert _times(shifted(even, -one), shifted(even, pq)) == zero4
+    assert _times(shifted(odd, one), shifted(odd, -pq)) == zero4
+    assert _braids(even) and _braids(odd)
+
+
 # -- RTT -----------------------------------------------------------------------------
 
 def test_rtt_soundness_gr2(gr2):

@@ -12,7 +12,7 @@ from grasspq import freealg, matops, verify
 from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.freealg import PRESET_NAMES, format_poly, normal_form, preset
 from grasspq.matops import closed_power, generic_matrix, rtt_residual
-from grasspq.reporting import truncate_poly_text
+from grasspq.reporting import Check, Report, truncate_poly_text
 from grasspq.verify import (
     DEFAULT_SEED,
     MUTATIONS,
@@ -217,8 +217,39 @@ def test_json_schema(powers_report):
     assert doc["suite"] == "powers"
     assert doc["seed"] == DEFAULT_SEED
     for check in doc["checks"]:
-        assert set(check) == {"name", "status", "residual", "paper_ref"}
+        assert list(check) == ["name", "status", "residual", "paper_ref"]
         assert check["status"] in ("pass", "fail")
+
+
+def test_absorb_stands_one_check_for_a_sub_report():
+    sub = Report(suite="span:demo")
+    sub.expect("b_second", False, "ref")
+    sub.expect("a_first", False, "ref", "x - y")
+    sub.expect("c_fine", True, "ref")
+    sub.finish()
+    report = Report(suite="outer")
+    report.absorb("failing", sub)
+    passing = Report(suite="span:ok")
+    passing.expect("fine", True, "ref")
+    report.absorb("passing", passing)
+    assert report.checks == [Check("failing", "fail", "a_first: x - y", "span:demo"),
+                             Check("passing", "pass", None, "span:ok")]
+    # a failure with no residual is witnessed as failed
+    bare = Report(suite="bare")
+    bare.expect("only", False, "ref")
+    report.absorb("bare", bare)
+    assert report.checks[-1] == Check("bare", "fail", "only: failed", "bare")
+
+
+def test_expect_keeps_a_residual_on_a_pass():
+    report = Report(suite="faults")
+    report.expect("caught:x", True, "ref", "witness")
+    report.expect("missed:x", False, "ref")
+    assert report.checks == [Check("caught:x", "pass", "witness", "ref"),
+                             Check("missed:x", "fail", None, "ref")]
+    assert report.failures() == report.checks[1:]
+    assert report.signature() == ("faults", None, (
+        ("caught:x", "pass", "witness", "ref"), ("missed:x", "fail", None, "ref")))
 
 
 def test_text_rendering_mentions_every_check(powers_report):
