@@ -25,7 +25,8 @@ a declared inverse; a scalar power is one exponentiation.  Inputs are
 bounded before anything is built: words by the presentation's length
 cap, coefficients by MAX_COEFF_SPAN and MAX_INT_BITS, integer literals
 by MAX_LITERAL_DIGITS, the free expansion of a product or power by
-MAX_INPUT_TERMS.
+MAX_INPUT_TERMS.  A sum is held where its terms meet on one word: the
+coefficient they add to obeys MAX_COEFF_SPAN and MAX_INT_BITS.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .freealg import (
     Poly,
     Presentation,
     Word,
-    add_scaled,
     build_presentation,
     format_poly,
     normal_form,
@@ -71,8 +71,10 @@ MAX_COEFF_SPAN = 64
 
 # Integers stay well below Python's 4,300-digit int/str limit: a literal
 # of more than MAX_LITERAL_DIGITS digits is refused before it is read, and
-# a product or power is held to integers of about 2^MAX_INT_BITS (2,467
-# digits).  The literal bound is the wider, so whatever prints parses back.
+# a product, power or met sum is held to integers of about 2^MAX_INT_BITS
+# (2,467 digits).  The literal bound is the wider, so a printed integer
+# parses back as a literal, though not inside a coefficient of several
+# terms, which is read as a sum.
 MAX_LITERAL_DIGITS = 4000
 MAX_INT_BITS = 8192
 
@@ -130,10 +132,19 @@ class _Parser:
         acc = self.term()
         while (op := self.tok[0]) == "+" or op == "-":
             self.tok = next(self.rest)
-            right = self.term()
-            if op == "-":
-                right = {w: -c for w, c in right.items()}
-            add_scaled(acc, right, ONE)
+            for w, c in self.term().items():
+                s = acc.get(w)
+                if op == "-":
+                    c = -c
+                if s is None:
+                    acc[w] = c
+                    continue
+                s += c
+                if s:
+                    _hold_coeffs({w: s})
+                    acc[w] = s
+                else:
+                    del acc[w]
         return acc
 
     def term(self) -> dict[Word, RatFunc]:
@@ -260,10 +271,12 @@ def _longest(terms: dict[Word, RatFunc]) -> int:
 
 def _hold_coeffs(*factors: dict[Word, RatFunc], times: int = 1) -> None:
     """A product or power is held to MAX_COEFF_SPAN and MAX_INT_BITS before
-    it is formed, as _hold_length holds words: the widest p- and q-degree
-    spans and integer sizes (ceil(log2) of the largest integer) of each
-    factor's coefficients add, times |n| for a power.  A coefficient num/den
-    spans the exponent ranges of num and den, so a monomial spans nothing."""
+    it is formed, as _hold_length holds words, and so is the coefficient
+    that the terms of a sum meeting on one word add to: the widest p- and
+    q-degree spans and integer sizes (ceil(log2) of the largest integer) of
+    each factor's coefficients add, times |n| for a power.  A coefficient
+    num/den spans the exponent ranges of num and den, so a monomial spans
+    nothing."""
     p_span = q_span = size = 0
     for terms in factors:
         widest_p = widest_q = 0
@@ -280,14 +293,21 @@ def _hold_coeffs(*factors: dict[Word, RatFunc], times: int = 1) -> None:
                 continue
             c_p = c_q = 0
             for part in (num, den):
-                ps, qs = zip(*part)
-                c_p += max(ps) - min(ps)
-                c_q += max(qs) - min(qs)
-            widest_p = max(widest_p, c_p)
-            widest_q = max(widest_q, c_q)
+                if len(part) > 1:  # one term spans nothing
+                    ps, qs = zip(*part)
+                    c_p += max(ps) - min(ps)
+                    c_q += max(qs) - min(qs)
+            if c_p > widest_p:
+                widest_p = c_p
+            if c_q > widest_q:
+                widest_q = c_q
         p_span += widest_p * times
         q_span += widest_q * times
         size += (top - 1).bit_length() * times
+    # every parsed product, power and met sum passes here, so the common
+    # case costs one comparison
+    if p_span <= MAX_COEFF_SPAN and q_span <= MAX_COEFF_SPAN and size <= MAX_INT_BITS:
+        return
     for name, span in (("p", p_span), ("q", q_span)):
         if span > MAX_COEFF_SPAN:
             raise DegreeCapExceeded(f"input coefficient of {name}-degree span {span} "

@@ -11,8 +11,9 @@ junctions and input words met.  Any reduction order of a confluent system
 gives the same normal form (Bergman's diamond lemma), so an entry depends
 on the rules alone and is the leftmost normal form.  Local
 confluence is checked by resolving every overlap ambiguity of rule
-left-hand sides; the localized presentation is finished by bounded
-completion.
+left-hand sides, once per presentation: build_presentation's last round
+does it for what it returns.  The localized presentation is finished by
+bounded completion.
 """
 
 from __future__ import annotations
@@ -192,7 +193,8 @@ class Presentation:
     `generators` are (name, parity) pairs, in increasing monomial order;
     no word that rewriting makes may be longer than `max_word_length`.
     For its lifetime it keeps the map word -> normal form that
-    `normal_form` fills, of at most MAX_CACHED entries."""
+    `normal_form` fills, of at most MAX_CACHED entries, and the checks of
+    its first `overlap_check`."""
 
     def __init__(self, label: str, generators: Iterable[tuple[str, int]],
                  rules: Sequence[RewriteRule], *, order: str = "deglex",
@@ -218,6 +220,10 @@ class Presentation:
         self._longest_lhs = max((len(r.lhs) for r in self.rules), default=0)
         self._normal_forms: NormalForms = {}  # entries never change once published
         self._publishing = threading.Lock()  # held while a call checks the bound and publishes
+        # set by build_presentation, whose last round resolved every
+        # ambiguity of these rules to zero
+        self._proved = False
+        self._overlaps: tuple[Check, ...] | None = None  # made by the first overlap_check
 
     # -- order -------------------------------------------------------------
 
@@ -468,14 +474,20 @@ def residual_check(name: str, residual: Poly, pres: Presentation, ref: str) -> C
 
 def overlap_check(pres: Presentation) -> Report:
     """Diamond-lemma local confluence: both reductions of every ambiguity
-    must share a normal form."""
+    must share a normal form.  The checks are made once per presentation
+    (racing first calls may make them twice, alike) and each call reports
+    them afresh; on a presentation that build_presentation proved, each
+    ambiguity passes without being resolved again."""
+    if pres._overlaps is None:
+        checks = [residual_check(f"overlap:{'*'.join(key[0])}@{key[3]}",
+                                 Poly() if pres._proved else _difference(key, pres), pres,
+                                 "both reductions of a shared subword must agree")
+                  for key in _ambiguities(pres.rules)]
+        if not pres.rules:
+            checks.append(verdict("overlap:none", True, "empty rule set is vacuously confluent"))
+        pres._overlaps = tuple(checks)
     report = Report(suite=f"confluence:{pres.label}")
-    for key in _ambiguities(pres.rules):
-        report.add(residual_check(f"overlap:{'*'.join(key[0])}@{key[3]}",
-                                  _difference(key, pres), pres,
-                                  "both reductions of a shared subword must agree"))
-    if not pres.rules:
-        report.expect("overlap:none", True, "empty rule set is vacuously confluent")
+    report.checks.extend(pres._overlaps)
     return report.finish()
 
 
@@ -526,8 +538,8 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
     rounds while both of its rules stand unchanged.  When a round finds
     nothing unresolved but skipped some ambiguity, one full round resolves
     every ambiguity of the final rules before the result is returned, so
-    the returned system passes the diamond-lemma check; if that round finds
-    anything, completion goes on."""
+    the returned system passes the diamond-lemma check and is marked
+    proved; if that round finds anything, completion goes on."""
     skeleton = Presentation(label, gens, (), order=order,
                             negative_weight=frozenset(negative_weight),
                             inverses=inverses, max_word_length=max_word_length)
@@ -568,7 +580,9 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
         if best is None:
             # a copy with an empty normal-form map, so the words met
             # resolving ambiguities do not live as long as the result
-            return skeleton.with_rules(rules, completion_added=added)
+            proved = skeleton.with_rules(rules, completion_added=added)
+            proved._proved = True
+            return proved
         if len(rules) >= MAX_RULES:
             raise CompletionOverflow(
                 f"completion of {label!r} exceeded {MAX_RULES} rules")

@@ -42,6 +42,7 @@ from grasspq.matops import (
     tensor_graded,
 )
 from grasspq.verify import MUTATIONS, mutation_witness
+from test_freealg import cold_copy
 
 w = Poly.word
 g = Poly.gen
@@ -80,8 +81,10 @@ class _Budget:
 
 def test_criterion_01_confluence_and_dimension():
     with _Budget(1, "confluence of all presets; 16-dimensional base algebra", 1.0):
+        # a preset reports its builder's proof; its cold copy resolves anew
         for name in PRESET_NAMES:
             assert overlap_check(preset(name)).passed, name
+            assert overlap_check(cold_copy(preset(name))).passed, name
         assert len(irreducible_words(preset("gr2"), 5)) == 16
 
 

@@ -529,16 +529,43 @@ def test_coefficient_products_and_quotients_add_their_spans():
 
 
 def test_sums_and_unary_minus_runs_of_any_length_fold_in_a_loop():
-    terms = " + ".join(f"p^{k}*alpha" for k in range(2000))
+    # terms meeting on one word add to a coefficient held to the span bound
+    terms = " + ".join(f"p^{k}*alpha" for k in range(65))
     code, out, _ = run_cli("reduce", "--preset", "gr2", terms)
-    assert code == 0 and out.count(" + ") == 1999
-    assert out.startswith("(p^1999 + p^1998 + ") and out.endswith(" + p + 1)*alpha\n")
+    assert code == 0 and out.count(" + ") == 64
+    assert out.startswith("(p^64 + p^63 + ") and out.endswith(" + p + 1)*alpha\n")
+    code, out, err = run_cli("reduce", "--preset", "gr2", terms + " + p^65*alpha")
+    assert (code, out) == (1, "")
+    assert err == "error: input coefficient of p-degree span 65 exceeds the bound 64\n"
     assert run_cli("reduce", "--preset", "gr2", " + ".join(["alpha"] * 2000)) == (
         0, "2000*alpha\n", "")
     assert run_cli("reduce", "--preset", "gr2", "--", "-" * 1000 + "alpha") == (
         0, "alpha\n", "")
     assert run_cli("reduce", "--preset", "gr2", "--", "-" * 999 + "p^2*alpha") == (
         0, "-p^2*alpha\n", "")
+
+
+def test_sums_are_held_to_the_coefficient_bounds(tmp_path):
+    # alpha/1 + ... + alpha/10499 once ended in a ValueError at print time
+    # (its coefficient's integers pass Python's int/str limit), and the sum
+    # of alpha/(1+k*p) in a denominator of any degree
+    harmonic = " + ".join(f"alpha/{k}" for k in range(1, 10500))
+    shifted = " + ".join(f"alpha/(1+{k}*p)" for k in range(1, 120))
+    for text, bound in ((harmonic, "the bound 2^8192"), (shifted, "the bound 64")):
+        start = time.perf_counter()
+        with pytest.raises(DegreeCapExceeded) as exc:
+            parse(text, preset("gr2"))
+        assert time.perf_counter() - start < 1.0 and bound in str(exc.value)
+        path = tmp_path / "sum.preset"
+        path.write_text(f"generator alpha odd\nrelation {text}\n")
+        code, out, err = run_cli("reduce", "--preset-file", str(path), "alpha")
+        assert code == 1 and not out
+        assert err.startswith("error: input coefficient") and bound in err
+    # terms on distinct words pay nothing, and sums within the bounds print
+    assert run_cli("reduce", "--preset", "gr2", "(p+q)^40*alpha + (p+q)^40*beta")[0] == 0
+    code, out, _ = run_cli("reduce", "--preset", "gr2",
+                           " + ".join(f"alpha/{k}" for k in range(1, 3001)))
+    assert code == 0 and out.endswith("*alpha\n")
 
 
 def test_an_expression_may_start_with_a_minus_sign():

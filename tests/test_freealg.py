@@ -1,5 +1,6 @@
 """Rewrite engine: orientation, normal forms, confluence, presets."""
 
+import hashlib
 import itertools
 import random
 import sys
@@ -396,7 +397,9 @@ def test_orient_zero_relation_raises():
                                   "plane_p20", "plane_q02", "plane_p11",
                                   "plane_q11_dual"])
 def test_presets_locally_confluent(name):
+    # the preset reports its builder's proof; its cold copy resolves anew
     assert overlap_check(preset(name)).passed
+    assert overlap_check(cold_copy(preset(name))).passed
 
 
 def test_two_rules_with_one_lhs_are_an_inclusion_ambiguity():
@@ -422,18 +425,85 @@ def test_residual_check_passes_on_zero_and_clips_long_residuals():
 def test_single_idempotent_rule_overlap_resolves():
     pres = build_presentation("idem", [("x", EVEN)], [w("x", "x") - g("x")])
     assert overlap_check(pres).passed
+    assert overlap_check(cold_copy(pres)).passed
 
 
 def test_two_sided_unit_pair_overlaps_resolve():
     pres = build_presentation(
         "units", [("x", EVEN), ("y", EVEN)],
         [w("x", "y") - Poly.unit(), w("y", "x") - Poly.unit()])
-    report = overlap_check(pres)
-    assert report.passed
     # the ambiguities x*y*x and y*x*y are both present and both resolve
-    names = {c.name for c in report.checks}
-    assert any("x*y*x" in n for n in names)
-    assert any("y*x*y" in n for n in names)
+    for report in (overlap_check(pres), overlap_check(cold_copy(pres))):
+        assert report.passed
+        names = {c.name for c in report.checks}
+        assert any("x*y*x" in n for n in names)
+        assert any("y*x*y" in n for n in names)
+
+
+def counted_differences(monkeypatch):
+    """The ambiguity keys that `_difference` resolves from now on."""
+    keys = []
+    difference = freealg._difference
+
+    def counting(key, pres):
+        keys.append(key)
+        return difference(key, pres)
+
+    monkeypatch.setattr(freealg, "_difference", counting)
+    return keys
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_proved_presentation_reports_as_resolving_does(name, monkeypatch):
+    # the builder's last round resolved every ambiguity to zero, so its
+    # presentation passes each one without resolving it, and reports as its
+    # cold copy does by resolving them all
+    keys = counted_differences(monkeypatch)
+    for pres in (preset(name), freealg._PRESETS[name](),
+                 cli.load_presentation(cli.builtin_preset_text(name))):
+        del keys[:]
+        report = overlap_check(pres)
+        assert pres._proved and keys == [] and report.passed
+        assert overlap_check(cold_copy(pres)).signature() == report.signature()
+        assert keys == list(_ambiguities(pres.rules))
+
+
+def test_copies_resolve_afresh_and_report_as_before(monkeypatch):
+    # sha256 of repr([overlap_check(mutate_preset(m)).signature() for m in
+    # MUTATIONS]) as it was when every presentation resolved every time
+    expected = "a692cc3acc89c911c1e919794eb10bc749199aef5c1173d582ecd21e4c67c831"
+    mutated = [mutate_preset(m) for m in MUTATIONS]
+    keys = counted_differences(monkeypatch)
+    sigs = repr([overlap_check(pres).signature() for pres in mutated])
+    assert hashlib.sha256(sigs.encode()).hexdigest() == expected
+    assert keys == [key for pres in mutated for key in _ambiguities(pres.rules)]
+    for name, build in (("gr2", build_gr2), ("gr11", build_gr11)):
+        # a copy with the same rules, and q := p, which gives build(p, p)'s rules
+        pres = preset(name)
+        for copy, same in ((pres.with_rules(pres.rules), pres),
+                           (specialize_presentation(pres, {"q": P}), build(P, P))):
+            del keys[:]
+            report = overlap_check(copy)
+            assert not copy._proved and keys == list(_ambiguities(copy.rules))
+            assert report.passed and report.checks == overlap_check(same).checks
+
+
+def test_each_call_reports_afresh_over_the_kept_checks(monkeypatch):
+    pres = cold_copy(preset("gr11"))
+    keys = counted_differences(monkeypatch)
+    first, second = overlap_check(pres), overlap_check(pres)
+    assert len(keys) == len(list(_ambiguities(pres.rules)))  # resolved on the first call only
+    assert first is not second and first.checks is not second.checks
+    assert first.signature() == second.signature()
+    first.checks.clear()
+    assert overlap_check(pres).signature() == second.signature()
+
+
+def test_a_built_presentation_without_rules_is_vacuously_confluent():
+    pres = build_presentation("none", [("x", EVEN)], [w("x") - w("x")])
+    assert pres._proved and not pres.rules
+    assert [c.name for c in overlap_check(pres).checks] == ["overlap:none"]
+    assert overlap_check(pres).passed
 
 
 def reference_ambiguities(rules):
@@ -713,20 +783,15 @@ def test_completion_matches_the_reference_on_random_relation_sets(rng, monkeypat
 
 def test_localized_build_resolves_each_ambiguity_once(monkeypatch):
     # re-resolving every ambiguity in each of its 7 rounds took 277
-    # resolutions; the last round is a full one over the final rules
-    keys = []
-    difference = freealg._difference
-
-    def counting(key, pres):
-        keys.append(key)
-        return difference(key, pres)
-
-    monkeypatch.setattr(freealg, "_difference", counting)
+    # resolutions; the last round is a full one over the final rules, and
+    # the check reports it without resolving any ambiguity again
+    keys = counted_differences(monkeypatch)
     pres = build_gr11_localized(P, Q)
-    assert len(keys) <= 120
     assert len(pres.rules) == 19 and pres.completion_added == 6
     final = list(_ambiguities(pres.rules))
     assert keys[-len(final):] == final
+    assert overlap_check(pres).passed
+    assert len(keys) <= 120
 
 
 def test_normal_forms_are_path_independent(rng):

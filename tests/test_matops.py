@@ -46,7 +46,13 @@ from grasspq.matops import (
     tensor_graded,
     tensor_ungraded,
 )
-from grasspq.matops import _admissible_points, _echelon, _integer_echelon, _integer_rows
+from grasspq.matops import (
+    _admissible_points,
+    _echelon,
+    _integer_echelon,
+    _integer_rows,
+    _slot2_sign,
+)
 from grasspq.verify import DEFAULT_SEED, MUTATIONS, mutate_preset, plane_references, rtt_entries
 
 w = Poly.word
@@ -226,6 +232,41 @@ def test_two_parameter_hecke_matrices_braid():
     assert _times(shifted(even, -one), shifted(even, pq)) == zero4
     assert _times(shifted(odd, one), shifted(odd, -pq)) == zero4
     assert _braids(even) and _braids(odd)
+
+
+def _one_sided_equations(kind, pres, graded):
+    """The linear equations on the 16 entries of a 4x4 matrix X for
+    X*A1*A2 + A2*A1*X to reduce to zero in pres, with the legs that
+    `rtt_residual` builds: one row, (r, c) -> coefficient of X[r][c], per
+    residual entry and normal word."""
+    sign = _slot2_sign if graded else (lambda i, j, l: 1)
+    a = generic_matrix(kind, pres)
+    a12, a21 = {}, {}
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        row, col = 2 * i + j, 2 * k + l
+        a12[row, col] = (a[i, k] * a[j, l]).scale(RatFunc.const(sign(k, j, l)))
+        a21[row, col] = (a[j, l] * a[i, k]).scale(RatFunc.const(sign(i, j, l)))
+    equations = {}
+    # X = E_rc, the matrix unit: (E_rc A1A2)[row, col] = [row = r] A1A2[c, col]
+    # and (A2A1 E_rc)[row, col] = A2A1[row, r] [col = c]
+    for r, c, row, col in itertools.product(range(4), repeat=4):
+        entry = (a12[c, col] if row == r else Poly.zero()) + (
+            a21[row, r] if col == c else Poly.zero())
+        for word, v in normal_form(entry, pres).terms.items():
+            equations.setdefault((row, col, word), {})[r, c] = v
+    return list(equations.values())
+
+
+@pytest.mark.parametrize("name,kind,graded,x", [("gr2", "all_odd", False, one),
+                                                ("gr11", "diag_odd", True, -one)])
+def test_rhat_is_the_one_sided_solution_up_to_scale(name, kind, graded, x):
+    # the X with X*A1*A2 + A2*A1*X = 0 over the quotient form a space of
+    # dimension 16 - rank = 1 over Q(p, q), and rhat(x) lies in it
+    equations = _one_sided_equations(kind, preset(name), graded)
+    assert len(_echelon(equations)) == 15
+    r = rhat(x)
+    for eq in equations:
+        assert sum((v * r[i][j] for (i, j), v in eq.items()), zero_rf) == zero_rf
 
 
 # -- RTT -----------------------------------------------------------------------------
