@@ -15,7 +15,7 @@ decides this, and every operation that makes a coefficient passes its
 non-int results through it.  Floats (and bools) are refused with
 `TypeError`, since a float is not an exact rational.  Evaluation at a
 rational point (`pair_evaluator`) sums integer (numerator, denominator)
-pairs; `evaluate` and `evaluator` make one `Fraction` of each value.
+pairs; `RatFunc.evaluate` makes one `Fraction` of its value.
 """
 
 from __future__ import annotations
@@ -196,10 +196,6 @@ class LaurentPoly:
     def unit_divide(self, c: int | Fraction, a: int, b: int) -> LaurentPoly:
         """Divide by the unit c * p^a q^b."""
         return self.scale(_quotient(1, c)).shift(-a, -b)
-
-    def evaluate(self, p0, q0) -> Fraction:
-        """Exact value at the rational point (p0, q0)."""
-        return Fraction(*_value(self, Fraction(_exact(p0)), Fraction(_exact(q0)), {}))
 
     # -- printing ---------------------------------------------------------
 
@@ -443,7 +439,7 @@ class RatFunc:
         Raises SingularEvaluation if either parameter is zero or the
         denominator vanishes there.
         """
-        return evaluator(p0, q0)(self)
+        return Fraction(*pair_evaluator(p0, q0)(self))
 
     def substitute(self, p_val: RatFunc | None, q_val: RatFunc | None) -> RatFunc:
         """Simultaneously substitute rational functions for p and/or q."""
@@ -496,12 +492,6 @@ def pair_evaluator(p0, q0) -> Callable[[RatFunc], tuple[int, int]]:
         return (n * dd, nd * d) if d > 0 else (-n * dd, -nd * d)
 
     return value
-
-
-def evaluator(p0, q0) -> Callable[[RatFunc], Fraction]:
-    """`pair_evaluator` with each value made one Fraction."""
-    pair = pair_evaluator(p0, q0)
-    return lambda f: Fraction(*pair(f))
 
 
 def _subst_monomials(poly: LaurentPoly, pv: RatFunc, qv: RatFunc) -> LaurentPoly:

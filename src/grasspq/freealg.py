@@ -19,6 +19,7 @@ bounded completion.
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
@@ -200,8 +201,7 @@ class Presentation:
                  rules: Sequence[RewriteRule], *, order: str = "deglex",
                  negative_weight: frozenset[str] = frozenset(),
                  inverses: Mapping[str, str] | None = None,
-                 max_word_length: int = MAX_WORD_LENGTH,
-                 completion_added: int = 0):
+                 max_word_length: int = MAX_WORD_LENGTH):
         self.label = label
         self.generators = tuple(map(Generator._make, generators))
         self.rules = tuple(rules)
@@ -209,7 +209,6 @@ class Presentation:
         self.negative_weight = frozenset(negative_weight)
         self.inverses = dict(inverses or {})
         self.max_word_length = max_word_length
-        self.completion_added = completion_added
         self.parities = dict(self.generators)  # name -> parity
         if len(self.parities) != len(self.generators):
             raise ValueError("duplicate generator names")
@@ -220,9 +219,11 @@ class Presentation:
         self._longest_lhs = max((len(r.lhs) for r in self.rules), default=0)
         self._normal_forms: NormalForms = {}  # entries never change once published
         self._publishing = threading.Lock()  # held while a call checks the bound and publishes
-        # set by build_presentation, whose last round resolved every
-        # ambiguity of these rules to zero
+        # set by build_presentation: its last round resolved every
+        # ambiguity of these rules to zero, and completion added
+        # completion_added of them
         self._proved = False
+        self.completion_added = 0
         self._overlaps: tuple[Check, ...] | None = None  # made by the first overlap_check
 
     # -- order -------------------------------------------------------------
@@ -271,16 +272,15 @@ class Presentation:
     def relation_polys(self) -> list[Poly]:
         return [r.as_relation() for r in self.rules]
 
-    def with_rules(self, rules: Sequence[RewriteRule], *, label: str | None = None,
-                   completion_added: int = 0) -> Presentation:
+    def with_rules(self, rules: Sequence[RewriteRule], *,
+                   label: str | None = None) -> Presentation:
         """The same generators, order, weights, inverses and word cap with
         another rule set, and an empty normal-form map."""
         return Presentation(self.label if label is None else label,
                             self.generators, rules, order=self.order,
                             negative_weight=self.negative_weight,
                             inverses=self.inverses,
-                            max_word_length=self.max_word_length,
-                            completion_added=completion_added)
+                            max_word_length=self.max_word_length)
 
     def __repr__(self) -> str:
         return f"Presentation({self.label!r}, {len(self.generators)} gens, {len(self.rules)} rules)"
@@ -580,8 +580,9 @@ def build_presentation(label: str, gens: Sequence[tuple[str, int]],
         if best is None:
             # a copy with an empty normal-form map, so the words met
             # resolving ambiguities do not live as long as the result
-            proved = skeleton.with_rules(rules, completion_added=added)
+            proved = skeleton.with_rules(rules)
             proved._proved = True
+            proved.completion_added = added
             return proved
         if len(rules) >= MAX_RULES:
             raise CompletionOverflow(
@@ -666,14 +667,10 @@ def _generic_family(kind: str, pp: RatFunc, qq: RatFunc) -> list[Poly]:
 # In every matrix preset the diagonal entries come first in the generator
 # order: A < D < B < C.
 
-def build_gr2(pp: RatFunc, qq: RatFunc, label: str = "gr2") -> Presentation:
-    a, b, c, d = ENTRY_LAYOUTS["all_odd"]
-    return build_presentation(label, [a, d, b, c], _generic_family("all_odd", pp, qq))
-
-
-def build_gr11(pp: RatFunc, qq: RatFunc, label: str = "gr11") -> Presentation:
-    a, b, c, d = ENTRY_LAYOUTS["diag_odd"]
-    return build_presentation(label, [a, d, b, c], _generic_family("diag_odd", pp, qq))
+def build_family(kind: str, pp: RatFunc, qq: RatFunc, label: str) -> Presentation:
+    """The presentation of relation family `kind` at (pp, qq)."""
+    a, b, c, d = ENTRY_LAYOUTS[kind]
+    return build_presentation(label, [a, d, b, c], _generic_family(kind, pp, qq))
 
 
 def build_gr11_localized(pp: RatFunc, qq: RatFunc) -> Presentation:
@@ -710,10 +707,10 @@ def build_gr11_localized(pp: RatFunc, qq: RatFunc) -> Presentation:
 
 
 _PRESETS = {
-    "gr2": lambda: build_gr2(P, Q),
-    "gr11": lambda: build_gr11(P, Q),
+    "gr2": lambda: build_family("all_odd", P, Q, "gr2"),
+    "gr11": lambda: build_family("diag_odd", P, Q, "gr11"),
     "gr11_localized": lambda: build_gr11_localized(P, Q),
-    "gr11_inverse": lambda: build_gr11(P ** -1, Q ** -1, label="gr11_inverse"),
+    "gr11_inverse": lambda: build_family("diag_odd", P ** -1, Q ** -1, "gr11_inverse"),
     "plane_p20": lambda: build_presentation(
         "plane_p20", [("x", EVEN), ("y", EVEN)],
         [Poly.word("x", "y") - Poly.word("y", "x", coeff=P)]),
@@ -886,7 +883,12 @@ def format_poly(poly: Poly, pres: Presentation) -> str:
         return "0"
     out = []
     for word, coeff in pres.sort_terms(poly):
-        text = str(coeff)
+        try:
+            text = str(coeff)
+        except ValueError:  # an integer past the interpreter's int-to-str limit
+            raise DegreeCapExceeded(
+                f"a coefficient in {pres.label!r} has an integer past the "
+                f"{sys.get_int_max_str_digits()}-digit printing limit") from None
         # a bare monomial's leading minus can be pulled out as the sign
         if coeff.den.terms == {(0, 0): 1} and len(coeff.num.terms) == 1:
             negative = text.startswith("-")

@@ -4,7 +4,6 @@ faults that the suites must catch."""
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Callable
 from functools import lru_cache
 from typing import NamedTuple
@@ -15,6 +14,7 @@ from .freealg import (
     Poly,
     Presentation,
     RewriteRule,
+    build_family,
     derive_relations,
     family,
     format_poly,
@@ -25,8 +25,6 @@ from .freealg import (
     residual_check,
     specialize,
     specialize_presentation,
-    build_gr2,
-    build_gr11,
 )
 from .matops import (
     AlgMatrix,
@@ -60,85 +58,80 @@ def _matrix_residual_check(name: str, residual: AlgMatrix, ref: str) -> Check:
 
 
 class Family(NamedTuple):
-    """A relation family's row: its R-matrix parameter, whether the RTT
-    legs are graded, the planes it is derived from, its builder at (p, q),
-    and the RTT soundness check's name and paper_ref."""
+    """The row of the relation family a two-parameter preset presents: its
+    kind (an ENTRY_LAYOUTS key), its R-matrix parameter, whether the RTT
+    legs are graded, the planes it is derived from, and the RTT soundness
+    check's name and paper_ref."""
+    kind: str
     x: RatFunc
     graded: bool
     planes: tuple[str, str]
-    build: Callable[[RatFunc, RatFunc], Presentation]
     soundness: str
     soundness_ref: str
 
 
 FAMILIES = {
-    "all_odd": Family(ONE, False, ("plane_p20", "plane_q02"), build_gr2, "rtt_soundness",
-                      "R(1) A1 A2 + A2 A1 R(1) = 0 over the quotient"),
-    "diag_odd": Family(-ONE, True, ("plane_p11", "plane_q11_dual"), build_gr11,
-                       "rtt_soundness_graded",
-                       "R(-1) M1 M2 + M2 M1 R(-1) = 0 with graded embeddings"),
+    "gr2": Family("all_odd", ONE, False, ("plane_p20", "plane_q02"), "rtt_soundness",
+                  "R(1) A1 A2 + A2 A1 R(1) = 0 over the quotient"),
+    "gr11": Family("diag_odd", -ONE, True, ("plane_p11", "plane_q11_dual"),
+                   "rtt_soundness_graded",
+                   "R(-1) M1 M2 + M2 M1 R(-1) = 0 with graded embeddings"),
 }
 
 
 @lru_cache(maxsize=None)
-def rtt_entries(kind: str) -> tuple[Poly, ...]:
-    """The 16 RTT residual entries of the family's generic matrix over the
-    free algebra, unreduced; built once per process."""
-    fam = FAMILIES[kind]
-    free = Presentation(f"free({kind})", ENTRY_LAYOUTS[kind], ())
-    return rtt_residual(fam.x, generic_matrix(kind, free), fam.graded).entries
+def rtt_entries(name: str) -> tuple[Poly, ...]:
+    """The 16 RTT residual entries of FAMILIES[name]'s generic matrix over
+    the free algebra, unreduced; built once per process."""
+    fam = FAMILIES[name]
+    free = Presentation(f"free({fam.kind})", ENTRY_LAYOUTS[fam.kind], ())
+    return rtt_residual(fam.x, generic_matrix(fam.kind, free), fam.graded).entries
+
+
+class References(NamedTuple):
+    """What the family checks of preset `name` compare against: the
+    relations derived from its planes both ways, the spans of the RTT
+    entries, of those relations and of the preset's own relations, and
+    the one-parameter presentation at (p, p)."""
+    derived: tuple[Poly, ...]
+    rtt_span: Span
+    derived_span: Span
+    relations: Span
+    degenerate: Presentation
 
 
 @lru_cache(maxsize=None)
-def plane_references(kind: str) -> tuple[tuple[Poly, ...], Presentation]:
-    """The relations derived from the family's plane maps both ways, and
-    its one-parameter presentation build(p, p); built once per process."""
-    fam = FAMILIES[kind]
-    one, other = (preset(name) for name in fam.planes)
-    derived = derive_relations(one, other, kind) + derive_relations(other, one, kind)
-    return tuple(derived), fam.build(P, P)
+def references(name: str) -> References:
+    """FAMILIES[name]'s references, built once per process; each span
+    fills its integer echelons once per sample point."""
+    fam = FAMILIES[name]
+    one, other = (preset(plane) for plane in fam.planes)
+    derived = tuple(derive_relations(one, other, fam.kind) + derive_relations(other, one, fam.kind))
+    return References(derived, Span(rtt_entries(name)), Span(derived),
+                      Span(preset(name).relation_polys()), build_family(fam.kind, P, P, name))
 
 
-@lru_cache(maxsize=None)
-def reference_spans(kind: str) -> tuple[Span, Span]:
-    """The spans of the family's RTT residual entries and of its
-    plane-derived relations, with their exact echelons; built once per
-    process, and each fills its integer echelons once per sample point."""
-    return Span(rtt_entries(kind)), Span(plane_references(kind)[0])
-
-
-_relation_spans: weakref.WeakKeyDictionary[Presentation, Span] = weakref.WeakKeyDictionary()
-
-
-def relation_span(pres: Presentation) -> Span:
-    """pres's relation span, kept while pres lives; racing first calls may make two."""
-    if pres not in _relation_spans:
-        _relation_spans[pres] = Span(pres.relation_polys())
-    return _relation_spans[pres]
-
-
-def _family_checks(report: Report, pres: Presentation, kind: str) -> None:
+def _family_checks(report: Report, pres: Presentation, name: str) -> None:
     """The checks both matrix families share, against the references of
-    FAMILIES[kind].  RTT soundness reduces the free-algebra residual
+    preset `name`.  RTT soundness reduces the free-algebra residual
     entries in pres, which is `rtt_residual` over pres because the normal
     form is linear; the entries span the relations, so do the relations
     derived from the plane maps both ways, and q := p in pres gives the
-    rules of build(p, p).  The span checks read the cached reference
-    spans and pres's relation span, so a warm pass row-reduces only their
-    union."""
-    fam = FAMILIES[kind]
-    residual = rtt_entries(kind)
+    rules of the family at (p, p).  The preset reads its cached relation
+    span, so a warm pass row-reduces only the unions with the references;
+    any other presentation spans its relations afresh."""
+    fam = FAMILIES[name]
+    refs = references(name)
     report.add(_matrix_residual_check(
-        fam.soundness, AlgMatrix(4, 4, residual, pres), fam.soundness_ref))
-    relations = relation_span(pres)
-    rtt_span, derived_span = reference_spans(kind)
-    report.absorb("rtt_completeness", span_equal(rtt_span, relations, seed=report.seed,
+        fam.soundness, AlgMatrix(4, 4, rtt_entries(name), pres), fam.soundness_ref))
+    relations = refs.relations if pres is preset(name) else Span(pres.relation_polys())
+    report.absorb("rtt_completeness", span_equal(refs.rtt_span, relations, seed=report.seed,
                                                  label=f"{report.suite}-rtt"))
-    report.absorb("derivation_equivalence", span_equal(derived_span, relations, seed=report.seed,
+    report.absorb("derivation_equivalence", span_equal(refs.derived_span, relations,
+                                                       seed=report.seed,
                                                        label=f"{report.suite}-derive"))
     spec = specialize_presentation(pres, {"q": P})
-    direct = plane_references(kind)[1]
-    same = [(r.lhs, r.rhs) for r in spec.rules] == [(r.lhs, r.rhs) for r in direct.rules]
+    same = [(r.lhs, r.rhs) for r in spec.rules] == [(r.lhs, r.rhs) for r in refs.degenerate.rules]
     report.expect("degeneration_q_eq_p", same,
                   "q := p collapses to the one-parameter deformation")
 
@@ -173,7 +166,7 @@ def suite_gr2(seed: int = DEFAULT_SEED, *, presentation: Presentation | None = N
         "inverse_compatibility", compat_l - compat_r,
         "Delta_L * A_R^-1 = A_L^-1 * Delta_R"))
 
-    _family_checks(report, pres, "all_odd")
+    _family_checks(report, pres, "gr2")
     return report.finish()
 
 
@@ -209,7 +202,7 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
         "graded_tensor_slot2", tensor_graded(m, 2) - slot2_expected,
         "second graded embedding matches the explicit signed layout"))
 
-    _family_checks(report, pres, "diag_odd")
+    _family_checks(report, pres, "gr11")
 
     ml = generic_gr11_localized(loc)
     minv = inverse11(ml)
@@ -358,8 +351,7 @@ def mutation_witness(mutation: Mutation) -> str | None:
     which the RTT entries span (rtt_completeness), so some entry leaves
     the mutated ideal."""
     mutated = mutate_preset(mutation)
-    kind = "all_odd" if mutation.preset_name == "gr2" else "diag_odd"
-    for entry in rtt_entries(kind):
+    for entry in rtt_entries(mutation.preset_name):
         residual = normal_form(entry, mutated)
         if not residual.is_zero:
             return truncate_poly_text(format_poly(residual, mutated))

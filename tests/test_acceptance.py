@@ -9,8 +9,7 @@ import pytest
 from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.freealg import (
     Poly,
-    build_gr2,
-    build_gr11,
+    build_family,
     derive_relations,
     free_algebra_on,
     irreducible_words,
@@ -41,7 +40,7 @@ from grasspq.matops import (
     span_equal,
     tensor_graded,
 )
-from grasspq.verify import MUTATIONS, mutation_witness
+from grasspq.verify import FAMILIES, MUTATIONS, mutation_witness
 from test_freealg import cold_copy
 
 w = Poly.word
@@ -209,9 +208,9 @@ def test_criterion_08_powers():
 
 def test_criterion_09_degeneration():
     with _Budget(9, "q := p specialization equals the one-parameter families", 1.0):
-        for name, builder in (("gr2", build_gr2), ("gr11", build_gr11)):
+        for name, row in FAMILIES.items():
             spec = specialize_presentation(preset(name), {"q": P})
-            direct = builder(P, P, label=name)
+            direct = build_family(row.kind, P, P, name)
             assert len(spec.rules) == len(direct.rules)
             for r1, r2 in zip(spec.rules, direct.rules):
                 assert r1.lhs == r2.lhs

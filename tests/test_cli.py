@@ -568,6 +568,24 @@ def test_sums_are_held_to_the_coefficient_bounds(tmp_path):
     assert code == 0 and out.endswith("*alpha\n")
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter prints integers of any length")
+def test_a_coefficient_past_the_int_to_str_limit_is_an_error_line(tmp_path):
+    # a 3000-digit literal is within the parser's bounds, but its fourth
+    # power is past the interpreter's limit on printing an int
+    path = tmp_path / "big.preset"
+    path.write_text("generator alpha even\ngenerator beta even\n"
+                    f"relation beta*alpha - {'9' * 3000}*alpha*beta\n")
+    limit = sys.get_int_max_str_digits()
+    message = (f"error: a coefficient in 'big' has an integer past the "
+               f"{limit}-digit printing limit\n")
+    for command in ("reduce", "check"):
+        assert run_cli(command, "--preset-file", str(path), "beta*beta*alpha*alpha") == (
+            1, "", message)
+    code, out, _ = run_cli("reduce", "--preset-file", str(path), "beta*alpha")
+    assert code == 0 and out == f"{'9' * 3000}*alpha*beta\n"
+
+
 def test_an_expression_may_start_with_a_minus_sign():
     # argparse would read "-alpha" as an unknown option; the CLI moves the
     # expression behind "--" itself, wherever it stands among the options

@@ -28,8 +28,7 @@ from grasspq.freealg import (
     RewriteRule,
     _ambiguities,
     _rewrite_at,
-    build_gr2,
-    build_gr11,
+    build_family,
     build_gr11_localized,
     build_presentation,
     derive_relations,
@@ -46,7 +45,7 @@ from grasspq.freealg import (
     specialize_presentation,
 )
 from grasspq.reporting import Check
-from grasspq.verify import MUTATIONS, mutate_preset, suite_all
+from grasspq.verify import FAMILIES, MUTATIONS, mutate_preset, suite_all
 
 w = Poly.word
 g = Poly.gen
@@ -477,11 +476,12 @@ def test_copies_resolve_afresh_and_report_as_before(monkeypatch):
     sigs = repr([overlap_check(pres).signature() for pres in mutated])
     assert hashlib.sha256(sigs.encode()).hexdigest() == expected
     assert keys == [key for pres in mutated for key in _ambiguities(pres.rules)]
-    for name, build in (("gr2", build_gr2), ("gr11", build_gr11)):
-        # a copy with the same rules, and q := p, which gives build(p, p)'s rules
+    for name, row in FAMILIES.items():
+        # a copy with the same rules, and q := p, which gives the rules at (p, p)
         pres = preset(name)
         for copy, same in ((pres.with_rules(pres.rules), pres),
-                           (specialize_presentation(pres, {"q": P}), build(P, P))):
+                           (specialize_presentation(pres, {"q": P}),
+                            build_family(row.kind, P, P, name))):
             del keys[:]
             report = overlap_check(copy)
             assert not copy._proved and keys == list(_ambiguities(copy.rules))
@@ -638,7 +638,9 @@ def reference_build(label, gens, relations, *, order="deglex", negative_weight=(
         best = min((d for d in differences(skeleton.with_rules(rules)) if d),
                    key=priority, default=None)
         if best is None:
-            return skeleton.with_rules(rules, completion_added=added)
+            pres = skeleton.with_rules(rules)
+            pres.completion_added = added
+            return pres
         if len(rules) >= MAX_RULES:
             raise CompletionOverflow(f"completion of {label!r} exceeded {MAX_RULES} rules")
         pending = [best]
@@ -737,8 +739,9 @@ def _derivations():
 
 COMPLETION_INPUTS = {
     "preset_builders": lambda: [preset.__wrapped__(name) for name in PRESET_NAMES],
-    "degenerations": lambda: (build_gr2(P, P), build_gr11(P, P),
-                              build_gr11_localized(P ** -1, Q ** -1)),
+    "degenerations": lambda: ([build_family(row.kind, P, P, name)
+                               for name, row in FAMILIES.items()]
+                              + [build_gr11_localized(P ** -1, Q ** -1)]),
     "derivations": _derivations,
     "preset_files": lambda: [cli.load_presentation(cli.builtin_preset_text(name))
                              for name in PRESET_NAMES],
@@ -943,7 +946,7 @@ def test_localized_unit_pairs():
 
 def test_inverse_family_is_base_family_at_inverted_parameters():
     inv = preset("gr11_inverse")
-    direct = build_gr11(P**-1, Q**-1, label="gr11_inverse")
+    direct = build_family(FAMILIES["gr11"].kind, P**-1, Q**-1, "gr11_inverse")
     assert len(inv.rules) == len(direct.rules)
     for r1, r2 in zip(inv.rules, direct.rules):
         assert r1.lhs == r2.lhs
@@ -983,10 +986,20 @@ def test_specialize_scalar():
     assert spec == Poly.unit(RatFunc.const(2))
 
 
-@pytest.mark.parametrize("name,builder", [("gr2", build_gr2), ("gr11", build_gr11)])
-def test_degeneration_matches_directly_built_one_parameter_family(name, builder):
+@pytest.mark.parametrize("name", FAMILIES)
+def test_each_family_row_builds_its_preset(name):
+    kind = FAMILIES[name].kind
+    pres = preset(name)
+    assert set(ENTRY_LAYOUTS[kind]) == set(pres.generators)
+    built = build_family(kind, P, Q, name)
+    assert [(r.lhs, r.rhs) for r in built.rules] == [(r.lhs, r.rhs) for r in pres.rules]
+    assert built.generators == pres.generators and built.label == pres.label
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_degeneration_matches_directly_built_one_parameter_family(name):
     spec = specialize_presentation(preset(name), {"q": P})
-    direct = builder(P, P, label=name)
+    direct = build_family(FAMILIES[name].kind, P, P, name)
     assert len(spec.rules) == len(direct.rules)
     for r1, r2 in zip(spec.rules, direct.rules):
         assert r1.lhs == r2.lhs

@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from grasspq.coeff import ONE, P, Q, RatFunc, evaluator
+from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.errors import GeneratorMismatch, NotHomogeneous, NotLocalized, ShapeMismatch
 from grasspq.freealg import (
     ENTRY_LAYOUTS,
@@ -53,7 +53,14 @@ from grasspq.matops import (
     _integer_rows,
     _slot2_sign,
 )
-from grasspq.verify import DEFAULT_SEED, MUTATIONS, mutate_preset, plane_references, rtt_entries
+from grasspq.verify import (
+    DEFAULT_SEED,
+    FAMILIES,
+    MUTATIONS,
+    mutate_preset,
+    references,
+    rtt_entries,
+)
 
 w = Poly.word
 g = Poly.gen
@@ -327,7 +334,7 @@ def test_rtt_residual_equals_the_matrix_products(name, free, graded):
     pres = preset(name)
     if free:
         pres = free_algebra_on(pres)
-    a = generic_matrix("all_odd" if name == "gr2" else "diag_odd", pres)
+    a = generic_matrix(FAMILIES[name].kind, pres)
     for x in RTT_POINTS:
         _assert_same_residual(x, a, graded)
 
@@ -337,7 +344,7 @@ def test_rtt_residual_equals_the_matrix_products_on_mutated_presets(mutation):
     # the mutated presets are not confluent; both sides still reduce the
     # same words, so they agree entry by entry
     pres = mutate_preset(mutation)
-    a = generic_matrix("all_odd" if mutation.preset_name == "gr2" else "diag_odd", pres)
+    a = generic_matrix(FAMILIES[mutation.preset_name].kind, pres)
     for graded in (False, True):
         for x in RTT_POINTS:
             _assert_same_residual(x, a, graded)
@@ -449,8 +456,7 @@ def test_integer_rows_are_primitive_and_proportional_to_the_values(rng):
         row = {c: rng.choice(coeffs) * RatFunc.const(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
                for c in rng.sample(cols, rng.randint(1, 4))}
         [ints] = _integer_rows([row], point)
-        value = evaluator(*point)
-        values = {c: value(f) for c, f in row.items() if value(f)}
+        values = {c: v for c, f in row.items() if (v := f.evaluate(*point))}
         assert ints.keys() == values.keys()
         if ints:
             assert all(type(v) is int for v in ints.values())
@@ -484,14 +490,14 @@ def test_a_reused_span_reports_as_a_fresh_one():
     draws = list(itertools.islice(_admissible_points(random.Random(27)), 6))
     assert [p0 == 2 * q0 for p0, q0 in draws] == [False, False, True, False, False, False]
     assert 21 * draws[5][0] == 95 * draws[5][1]
-    references = {f"{kind}:rtt": rtt_entries(kind) for kind in ("all_odd", "diag_odd")}
-    references |= {f"{kind}:derive": plane_references(kind)[0] for kind in ("all_odd", "diag_odd")}
+    refs = {f"{name}:rtt": rtt_entries(name) for name in FAMILIES}
+    refs |= {f"{name}:derive": references(name).derived for name in FAMILIES}
     singular = {"xy": [XY], "singular": [SINGULAR], "vanishing": [VANISHING]}
     seconds = {name: preset(name).relation_polys()
                for name in PRESET_NAMES if name != "gr11_localized"}
     seconds |= {m.name: mutate_preset(m).relation_polys() for m in MUTATIONS}
     statuses = {}
-    for ref, polys in (references | singular).items():
+    for ref, polys in (refs | singular).items():
         span = Span(polys)  # one span per reference, the seeds interleaved on it
         for name, second in (seconds | singular).items():
             for seed in SPAN_SEEDS:
@@ -501,12 +507,11 @@ def test_a_reused_span_reports_as_a_fresh_one():
                 statuses[ref, name, seed] = tuple(c.status for c in got.checks)
     passed = ("pass",) * 3
     for seed in SPAN_SEEDS:
-        for kind, name in (("all_odd", "gr2"), ("diag_odd", "gr11")):
-            assert statuses[f"{kind}:rtt", name, seed] == passed
-            assert statuses[f"{kind}:derive", name, seed] == passed
+        for name in FAMILIES:
+            assert statuses[f"{name}:rtt", name, seed] == passed
+            assert statuses[f"{name}:derive", name, seed] == passed
         for m in MUTATIONS:
-            kind = "all_odd" if m.preset_name == "gr2" else "diag_odd"
-            assert "fail" in statuses[f"{kind}:rtt", m.name, seed]
+            assert "fail" in statuses[f"{m.preset_name}:rtt", m.name, seed]
         # a point where either set is singular is passed over, not counted
         assert statuses["singular", "xy", seed] == statuses["xy", "singular", seed] == passed
         crosscheck = "fail" if seed == 27 else "pass"
@@ -515,7 +520,7 @@ def test_a_reused_span_reports_as_a_fresh_one():
 
 
 def test_threads_sharing_a_span_agree_with_fresh_results(gr11):
-    polys, relations = rtt_entries("diag_odd"), gr11.relation_polys()
+    polys, relations = rtt_entries("gr11"), gr11.relation_polys()
     # four threads at a time on one seed, so they race to fill the same points
     seeds = [seed for seed in (DEFAULT_SEED, 1, 27, 2, 3, 4) for _ in range(4)]
     want = [span_equal(list(polys), relations, seed=seed).signature() for seed in seeds]

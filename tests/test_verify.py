@@ -1,14 +1,11 @@
 """Suite reports: contents, determinism, JSON schema, fault injection."""
 
-import gc
 import hashlib
 import json
-import sys
-import weakref
 
 import pytest
 
-from grasspq import freealg, matops, verify
+from grasspq import cli, freealg, matops, verify
 from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.freealg import PRESET_NAMES, format_poly, normal_form, preset
 from grasspq.matops import closed_power, generic_matrix, rtt_residual
@@ -76,11 +73,10 @@ def test_suite_powers_builds_each_closed_power_once(monkeypatch):
 def test_each_family_reference_is_built_once_per_process(monkeypatch):
     for name in PRESET_NAMES:
         preset(name)  # the presets are built once per process too
-    # the presets and their relation spans live for the whole process, so
-    # every cache is emptied: what earlier tests made does not count
-    for cache in (verify.rtt_entries, verify.plane_references, verify.reference_spans):
+    # the family references live for the whole process, so both caches
+    # are emptied: what earlier tests made does not count
+    for cache in (verify.rtt_entries, verify.references):
         cache.cache_clear()
-    verify._relation_spans.clear()
     builds, derivations, spans = [], [], []
     build, derive, span = freealg.build_presentation, verify.derive_relations, verify.Span
 
@@ -109,42 +105,47 @@ def test_each_family_reference_is_built_once_per_process(monkeypatch):
     assert derivations == ["all_odd"] * 2 + ["diag_odd"] * 2
     # the first pass spans the four references and each preset's relations
     # once, with their exact echelons; the second pass spans nothing
-    references = [r for kind in verify.FAMILIES
-                  for r in (verify.rtt_entries(kind), verify.plane_references(kind)[0])]
+    references = [r for name in verify.FAMILIES
+                  for r in (verify.rtt_entries(name), verify.references(name).derived)]
     assert [len(made) for made in spans[1:]] == [6, 0]
     assert sum(any(polys is r for r in references) for polys in spans[1]) == 4
     relations = [polys for polys in spans[1] if not any(polys is r for r in references)]
     assert relations == [preset("gr2").relation_polys(), preset("gr11").relation_polys()]
-    for name in ("gr2", "gr11"):
-        assert verify.relation_span(preset(name)) is verify.relation_span(preset(name))
 
 
-def test_a_dropped_presentations_relation_span_is_freed():
-    pres = mutate_preset(MUTATIONS[0])
-    assert not suite_gr2(presentation=pres).passed
-    span = verify.relation_span(pres)
-    assert any(held is span for held in verify._relation_spans.values())
-    dropped = weakref.ref(pres)
-    del pres
-    gc.collect()
-    # the span holds no reference to its presentation, and the cache
-    # lets go of the span with it
-    assert dropped() is None
-    assert not any(held is span for held in verify._relation_spans.values())
-    assert sys.getrefcount(span) == 2  # this name and the call's argument
+SUITE_OF = {"gr2": suite_gr2, "gr11": suite_gr11}
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.name)
-def test_a_mutated_presentation_gets_its_own_relation_span(mutation):
-    suite = suite_gr2 if mutation.preset_name == "gr2" else suite_gr11
-    assert suite().passed  # the preset's own span is made, or read
+def test_a_mutated_presentation_gets_its_own_relation_span(mutation, monkeypatch):
+    suite = SUITE_OF[mutation.preset_name]
+    assert suite().passed  # the preset's references are made, or read
     mutated = mutate_preset(mutation)
+    spans, span = [], verify.Span
+    monkeypatch.setattr(verify, "Span", lambda polys: spans.append(polys) or span(polys))
     failed = {c.name for c in suite(presentation=mutated).checks if c.status == "fail"}
     assert {"rtt_completeness", "derivation_equivalence"} <= failed
-    assert verify.relation_span(mutated).rows == [
-        dict(poly.terms) for poly in mutated.relation_polys()]
-    assert verify.relation_span(mutated) is not verify.relation_span(preset(mutation.preset_name))
+    assert spans == [mutated.relation_polys()]  # made afresh for the copy alone
+    monkeypatch.undo()
     assert suite().passed
+
+
+def test_a_presentation_other_than_the_preset_reports_as_before_and_is_kept_nowhere():
+    for suite in SUITE_OF.values():
+        assert suite().passed
+    held = verify.references.cache_info().currsize
+    # the builtin text loaded afresh reports as its preset does
+    for name, suite in SUITE_OF.items():
+        loaded = cli.load_presentation(cli.builtin_preset_text(name), label=name)
+        assert loaded is not preset(name)
+        assert suite(presentation=loaded).signature() == suite().signature()
+    # sha256 of repr() of the mutated copies' signatures as they were when
+    # each presentation's relation span was kept while it lived
+    sigs = repr([SUITE_OF[m.preset_name](presentation=mutate_preset(m)).signature()
+                 for m in MUTATIONS])
+    assert hashlib.sha256(sigs.encode()).hexdigest() == (
+        "a9a44fa66fd5015dcffffa480d9a65446c36c564dc2a479a7c5ae0f257ec02fd")
+    assert verify.references.cache_info().currsize == held
 
 
 # the RTT parameter and grading of each preset's family, written out here
@@ -160,7 +161,7 @@ def test_the_cached_residual_reduces_to_the_direct_one(name, mutation):
     pres = preset(name) if mutation is None else mutate_preset(mutation)
     kind, x, graded = _RTT[name]
     direct = rtt_residual(x, generic_matrix(kind, pres), graded).entries
-    assert [normal_form(e, pres) for e in verify.rtt_entries(kind)] == list(direct)
+    assert [normal_form(e, pres) for e in verify.rtt_entries(name)] == list(direct)
     if mutation is not None:
         first = next(e for e in direct if not e.is_zero)
         assert mutation_witness(mutation) == truncate_poly_text(format_poly(first, pres))
@@ -308,10 +309,6 @@ def test_rule_comparison_sees_a_mutation_that_changes_nothing():
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.name)
 def test_mutated_presets_fail_a_suite_with_witness(mutation):
-    mutated = mutate_preset(mutation)
-    if mutation.preset_name == "gr2":
-        report = suite_gr2(presentation=mutated)
-    else:
-        report = suite_gr11(presentation=mutated)
+    report = SUITE_OF[mutation.preset_name](presentation=mutate_preset(mutation))
     assert not report.passed
     assert any(c.residual for c in report.failures())
