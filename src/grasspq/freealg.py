@@ -614,7 +614,8 @@ def family(kind: str, entries: Sequence[Poly], pp: RatFunc,
     "all_odd": the Grassmann matrix family (gr2).
     "diag_odd": the dual supermatrix family (gr11); the inverse lies in it
     at (p^-1, q^-1) and the odd powers at (p^e, q^e).
-    "diag_even": the even-diagonal family, which the even powers obey."""
+    "diag_even": the even-diagonal family, which the even powers obey.
+    "all_even": the even partner of "all_odd"; at (q, p) it is gr2's dual."""
     A, B, C, D = entries
     if kind == "all_odd":
         return [
@@ -654,11 +655,19 @@ def family(kind: str, entries: Sequence[Poly], pp: RatFunc,
             ("A*D - D*A = (p - q^-1) C*B",
              A * D - D * A - (C * B).scale(pp - qq ** -1)),
         ]
-    raise ValueError(f"unknown relation family {kind!r}; "
-                     f"choose from all_odd, diag_odd, diag_even")
+    if kind == "all_even":
+        return [
+            ("A*B = q B*A", A * B - (B * A).scale(qq)),
+            ("A*C = p C*A", A * C - (C * A).scale(pp)),
+            ("B*D = p D*B", B * D - (D * B).scale(pp)),
+            ("C*D = q D*C", C * D - (D * C).scale(qq)),
+            ("B*C = p q^-1 C*B", B * C - (C * B).scale(pp * qq ** -1)),
+            ("A*D - D*A = (q - p^-1) B*C", A * D - D * A - (B * C).scale(qq - pp ** -1)),
+        ]
+    raise ValueError(f"unknown relation family {kind!r}; choose from {', '.join(ENTRY_LAYOUTS)}")
 
 
-def _generic_family(kind: str, pp: RatFunc, qq: RatFunc) -> list[Poly]:
+def generic_family(kind: str, pp: RatFunc, qq: RatFunc) -> list[Poly]:
     """The family's relations on the generic matrix of its layout."""
     entries = [Poly.gen(name) for name, _ in ENTRY_LAYOUTS[kind]]
     return [rel for _, rel in family(kind, entries, pp, qq)]
@@ -670,7 +679,7 @@ def _generic_family(kind: str, pp: RatFunc, qq: RatFunc) -> list[Poly]:
 def build_family(kind: str, pp: RatFunc, qq: RatFunc, label: str) -> Presentation:
     """The presentation of relation family `kind` at (pp, qq)."""
     a, b, c, d = ENTRY_LAYOUTS[kind]
-    return build_presentation(label, [a, d, b, c], _generic_family(kind, pp, qq))
+    return build_presentation(label, [a, d, b, c], generic_family(kind, pp, qq))
 
 
 def build_gr11_localized(pp: RatFunc, qq: RatFunc) -> Presentation:
@@ -682,7 +691,7 @@ def build_gr11_localized(pp: RatFunc, qq: RatFunc) -> Presentation:
     gens = [a, d, ("binv", EVEN), b, ("cinv", EVEN), c]
     w = Poly.word
     unit = Poly.unit()
-    rels = _generic_family("diag_odd", pp, qq) + [
+    rels = generic_family("diag_odd", pp, qq) + [
         w("b", "binv") - unit,
         w("binv", "b") - unit,
         w("c", "cinv") - unit,
@@ -877,8 +886,10 @@ def _word_str(word: Word) -> str:
 
 def format_poly(poly: Poly, pres: Presentation) -> str:
     """Single-line canonical form: terms in descending monomial order,
-    coefficients in canonical fraction form.  Round-trips through the CLI
-    parser."""
+    coefficients in canonical fraction form.  The CLI parser reads it back
+    when every coefficient is within its input bounds: a coefficient of
+    several terms reads as a sum, so one whose p- or q-degree span passes
+    64 or whose integers pass 2^8192 does not."""
     if poly.is_zero:
         return "0"
     out = []

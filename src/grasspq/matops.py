@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -399,6 +399,25 @@ def span_equal(s1: Span | Sequence[Poly], s2: Span | Sequence[Poly], *,
     report.expect("numeric_rank_crosscheck", ok_rank,
                   "ranks agree at random admissible (p, q) values")
     return report.finish()
+
+
+def quadratic_pairing(rels: Sequence[Poly], dual: Sequence[Poly], letters: Mapping[str, str],
+                      parities: Mapping[str, int]) -> tuple[int, int, int]:
+    """Pair two sets of degree-2 polynomials by <x y, X Y> = (-1)^|x| when
+    X = letters[x] and Y = letters[y], and 0 otherwise, with |x| from
+    `parities`.  Returns the number of pairs (relation, dual relation)
+    that pair to nonzero, and the exact ranks of the two sets.  The
+    quadratic dual's relations span the annihilator of the relations
+    (Manin 1988), which holds iff no pair is nonzero and the ranks add to
+    the number of words, len(letters)^2."""
+    one, two = Span(rels), Span(dual)
+    nonzero = 0
+    for row in one.rows:
+        signed = {(letters[x], letters[y]): -c if parities[x] else c for (x, y), c in row.items()}
+        for other in two.rows:
+            nonzero += bool(sum((c * other[w] for w, c in signed.items() if w in other),
+                                RatFunc.zero()))
+    return nonzero, len(one.echelon), len(two.echelon)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ faults that the suites must catch."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -18,6 +18,7 @@ from .freealg import (
     derive_relations,
     family,
     format_poly,
+    generic_family,
     irreducible_words,
     normal_form,
     overlap_check,
@@ -41,6 +42,7 @@ from .matops import (
     left_inverse,
     mat_mul,
     power_relations_check,
+    quadratic_pairing,
     right_inverse,
     rtt_residual,
     sdet,
@@ -59,10 +61,11 @@ def _matrix_residual_check(name: str, residual: AlgMatrix, ref: str) -> Check:
 
 class Family(NamedTuple):
     """The row of the relation family a two-parameter preset presents: its
-    kind (an ENTRY_LAYOUTS key), its R-matrix parameter, whether the RTT
-    legs are graded, the planes it is derived from, and the RTT soundness
-    check's name and paper_ref."""
+    kind and its even partner's (ENTRY_LAYOUTS keys), its R-matrix
+    parameter, whether the RTT legs are graded, the planes it is derived
+    from, and the RTT soundness check's name and paper_ref."""
     kind: str
+    dual: str
     x: RatFunc
     graded: bool
     planes: tuple[str, str]
@@ -71,9 +74,9 @@ class Family(NamedTuple):
 
 
 FAMILIES = {
-    "gr2": Family("all_odd", ONE, False, ("plane_p20", "plane_q02"), "rtt_soundness",
-                  "R(1) A1 A2 + A2 A1 R(1) = 0 over the quotient"),
-    "gr11": Family("diag_odd", -ONE, True, ("plane_p11", "plane_q11_dual"),
+    "gr2": Family("all_odd", "all_even", ONE, False, ("plane_p20", "plane_q02"),
+                  "rtt_soundness", "R(1) A1 A2 + A2 A1 R(1) = 0 over the quotient"),
+    "gr11": Family("diag_odd", "diag_even", -ONE, True, ("plane_p11", "plane_q11_dual"),
                    "rtt_soundness_graded",
                    "R(-1) M1 M2 + M2 M1 R(-1) = 0 with graded embeddings"),
 }
@@ -277,11 +280,65 @@ def _literal_first_power_collapses() -> bool:
     return (b_literal - Poly.gen("b")).is_zero and (c_literal - Poly.gen("c")).is_zero
 
 
+def suite_gr2_powers(seed: int = DEFAULT_SEED, *,
+                     presentation: Presentation | None = None) -> Report:
+    """The Appendix's powers for the Grassmann matrix M: M^3 is nonzero
+    and M^4 vanishes."""
+    m = generic_matrix("all_odd", presentation or preset("gr2"))
+    report = Report(suite="gr2_powers", seed=seed)
+    cube = mat_mul(mat_mul(m, m), m)
+    report.expect("cube_nonzero", not cube.is_zero, "M^3 != 0: (M^3)_12 = -p alpha delta beta")
+    report.add(_matrix_residual_check("fourth_power_vanishes", mat_mul(cube, m), "M^4 = 0"))
+    return report.finish()
+
+
+def pairing_witness(source: Presentation, dual: Sequence[Poly],
+                    letters: Mapping[str, str]) -> str | None:
+    """None if `dual` spans the quadratic dual of source's relations under
+    `quadratic_pairing`, else the count of nonzero pairings and the ranks."""
+    nonzero, rank, dual_rank = quadratic_pairing(source.relation_polys(), dual, letters,
+                                                 source.parities)
+    if nonzero or rank + dual_rank != len(letters) ** 2:
+        return f"{nonzero} nonzero pairings, ranks {rank} + {dual_rank}"
+    return None
+
+
+def superdual(name: str, pp: RatFunc = Q, qq: RatFunc = P) -> tuple[list[Poly], dict[str, str]]:
+    """The relations of FAMILIES[name]'s even partner at (pp, qq), and the
+    map of the family's entries onto the partner's."""
+    fam = FAMILIES[name]
+    odd, even = ([n for n, _ in ENTRY_LAYOUTS[kind]] for kind in (fam.kind, fam.dual))
+    return generic_family(fam.dual, pp, qq), dict(zip(odd, even))
+
+
+def suite_duality(seed: int = DEFAULT_SEED) -> Report:
+    """The superdual is the quadratic dual: each family's relations pair to
+    zero with its even partner's at (q, p), and the first of its planes'
+    with the second's at q := p, and the two ranks fill the degree-2
+    words."""
+    report = Report(suite="duality", seed=seed)
+    found = []
+    for name, fam in FAMILIES.items():
+        witness = pairing_witness(preset(name), *superdual(name))
+        report.expect(f"superdual_{name}", witness is None,
+                      f"{name} is the quadratic dual of its even partner at (q, p)", witness)
+        source, target = (preset(plane) for plane in fam.planes)
+        letters = {x.name: y.name for x, y in zip(source.generators, target.generators)}
+        dual = [specialize(rel, {"q": P}) for rel in target.relation_polys()]
+        found += filter(None, [pairing_witness(source, dual, letters)])
+    report.expect("planes_dual", not found, "each p-plane is dual to its q-plane at q := p",
+                  "; ".join(found) or None)
+    return report.finish()
+
+
 def suite_all(max_n: int = 3, seed: int = DEFAULT_SEED) -> Report:
+    """Every identity suite of SUITES, its checks named suite:check."""
     report = Report(suite="all", seed=seed)
-    for sub in (suite_gr2(seed), suite_gr11(seed), suite_powers(max_n, seed)):
-        for check in sub.checks:
-            report.add(check._replace(name=f"{sub.suite}:{check.name}"))
+    for name, run in SUITES.items():
+        if name not in ("all", "faults"):
+            sub = run(max_n, seed)
+            for check in sub.checks:
+                report.add(check._replace(name=f"{sub.suite}:{check.name}"))
     return report.finish()
 
 
@@ -289,6 +346,8 @@ SUITES: dict[str, Callable[..., Report]] = {
     "gr2": lambda max_n, seed: suite_gr2(seed),
     "gr11": lambda max_n, seed: suite_gr11(seed),
     "powers": lambda max_n, seed: suite_powers(max_n, seed),
+    "gr2_powers": lambda max_n, seed: suite_gr2_powers(seed),
+    "duality": lambda max_n, seed: suite_duality(seed),
     "all": lambda max_n, seed: suite_all(max_n, seed),
     "faults": lambda max_n, seed: fault_injection_report(seed),
 }

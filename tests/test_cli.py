@@ -295,9 +295,11 @@ EXIT_MATRIX = [
     (("check", "--preset", "gr2", "alpha*delta + delta*alpha"), 0),
     (("check", "--preset", "gr2", "alpha*delta - delta*alpha"), 1),
     (("check", "--preset", "gr11", "b*c - p*q^-1*c*b - (p - q^-1)*delta*alpha"), 0),
+    (("check", "--preset", "gr11", "p*alpha*(alpha*b - p^-1*b*alpha)*c"), 0),
     (("reduce", "--preset", "gr2", "alpha^3"), 0),
     (("reduce", "--preset", "gr2", "alpha*("), 2),
     (("reduce", "--preset", "gr2", "alpha^-1"), 2),
+    (("reduce", "--preset", "gr2", "²"), 2),  # not an ASCII digit
     (("reduce", "--preset", "gr2", "nosuch"), 2),
     (("reduce", "--preset", "nosuch", "alpha"), 2),
     (("reduce", "alpha"), 2),  # missing preset selection
@@ -308,6 +310,11 @@ EXIT_MATRIX = [
     (("power", "--n", "0"), 2),
     (("verify", "--suite", "gr2"), 0),
     (("verify", "--suite", "powers", "--max-n", "1"), 0),
+    # the closed powers hold up to exponent 42; from 43 on the family
+    # relations rewrite to a word past gr11's cap of 64
+    (("verify", "--suite", "powers", "--max-n", "21"), 0),
+    (("verify", "--suite", "gr2_powers"), 0),
+    (("verify", "--suite", "duality"), 0),
     (("confluence", "--preset", "gr11_localized"), 0),
     (("nosuchcommand",), 2),
 ]
@@ -324,6 +331,8 @@ def test_reduce_prints_canonical_form():
     code, out, _ = run_cli("reduce", "--preset", "gr2", "delta*alpha")
     assert code == 0
     assert out.strip() == "-alpha*delta"
+    assert run_cli("reduce", "--preset", "gr11", "c*b") == (
+        0, "p^-1*q*b*c + (q - p^-1)*alpha*delta\n", "")
 
 
 def test_check_prints_witness_on_failure():
@@ -396,12 +405,14 @@ def test_verify_json_document():
     assert doc["suite"] == "gr11"
     assert doc["seed"] == 3
     assert all(c["status"] == "pass" for c in doc["checks"])
+    assert all(list(c) == ["name", "status", "residual", "paper_ref"] for c in doc["checks"])
 
 
 def test_verify_all_runs_every_suite():
     code, out, _ = run_cli("verify", "--suite", "all", "--max-n", "1")
     assert code == 0
-    assert "gr2:" in out and "gr11:" in out and "powers:" in out
+    for suite in ("gr2", "gr11", "powers", "gr2_powers", "duality"):
+        assert f"] {suite}:" in out
 
 
 def test_verify_faults_runs_the_mutation_catalogue():
@@ -566,6 +577,17 @@ def test_sums_are_held_to_the_coefficient_bounds(tmp_path):
     code, out, _ = run_cli("reduce", "--preset", "gr2",
                            " + ".join(f"alpha/{k}" for k in range(1, 3001)))
     assert code == 0 and out.endswith("*alpha\n")
+
+
+def test_a_printed_coefficient_reads_back_only_within_the_input_bounds():
+    # format_poly's rule: a coefficient of several terms reads back as a
+    # sum, which is held to the span bound; a reduction can print one past it
+    printed = "(p^40 - p^-39)*alpha*beta"
+    assert run_cli("reduce", "--preset", "gr2", "p^40*alpha*beta + p^-40*beta*alpha") == (
+        0, printed + "\n", "")
+    assert run_cli("reduce", "--preset", "gr2", printed) == (
+        1, "", "error: input coefficient of p-degree span 79 exceeds the bound 64\n")
+    assert run_cli("reduce", "--preset", "gr2", "(p^32 - p^-31)*alpha*beta")[0] == 0
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

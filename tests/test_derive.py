@@ -15,7 +15,9 @@ from grasspq.freealg import (
     overlap_check,
     preset,
 )
+from grasspq.cli import builtin_preset_text, load_presentation
 from grasspq.matops import span_equal
+from grasspq.verify import FAMILIES
 from test_freealg import reference_derive
 
 w = Poly.word
@@ -43,6 +45,18 @@ def test_diag_odd_matrix_between_superplanes_recovers_supergroup_relations():
     assert len(backward) == 4
     assert span_equal(forward + backward, preset("gr11").relation_polys(),
                       label="gr11-derivation").passed
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_families_derived_from_the_shipped_plane_files_span_the_shipped_family_files(name):
+    # derive_relations trusts a loaded plane's own rules, as it does a builder's
+    def load(preset_name):
+        return load_presentation(builtin_preset_text(preset_name))
+
+    row = FAMILIES[name]
+    one, other = (load(plane) for plane in row.planes)
+    derived = derive_relations(one, other, row.kind) + derive_relations(other, one, row.kind)
+    assert span_equal(derived, load(name).relation_polys(), seed=1).passed
 
 
 def test_derived_relations_are_quadratic():

@@ -458,6 +458,7 @@ def test_a_proved_presentation_reports_as_resolving_does(name, monkeypatch):
     # presentation passes each one without resolving it, and reports as its
     # cold copy does by resolving them all
     keys = counted_differences(monkeypatch)
+    checks = []
     for pres in (preset(name), freealg._PRESETS[name](),
                  cli.load_presentation(cli.builtin_preset_text(name))):
         del keys[:]
@@ -465,6 +466,9 @@ def test_a_proved_presentation_reports_as_resolving_does(name, monkeypatch):
         assert pres._proved and keys == [] and report.passed
         assert overlap_check(cold_copy(pres)).signature() == report.signature()
         assert keys == list(_ambiguities(pres.rules))
+        checks.append(report.checks)
+    # the builder, a second build and the shipped file resolve the same overlaps
+    assert checks[1] == checks[2] == checks[0]
 
 
 def test_copies_resolve_afresh_and_report_as_before(monkeypatch):
@@ -955,9 +959,8 @@ def test_inverse_family_is_base_family_at_inverted_parameters():
 
 def test_family_rejects_an_unknown_kind():
     entries = [g(name) for name in ("alpha", "b", "c", "delta")]
-    for kind in ("nosuch", "all_even"):
-        with pytest.raises(ValueError, match="unknown relation family"):
-            family(kind, entries, P, Q)
+    with pytest.raises(ValueError, match="unknown relation family"):
+        family("nosuch", entries, P, Q)
 
 
 def test_family_relations_hold_in_their_presets():

@@ -14,6 +14,8 @@ from grasspq.coeff import ONE, P, Q, RatFunc
 from grasspq.errors import GeneratorMismatch, NotHomogeneous, NotLocalized, ShapeMismatch
 from grasspq.freealg import (
     ENTRY_LAYOUTS,
+    EVEN,
+    ODD,
     PRESET_NAMES,
     Poly,
     family,
@@ -38,6 +40,7 @@ from grasspq.matops import (
     left_inverse,
     mat_mul,
     matrix_power,
+    quadratic_pairing,
     rhat,
     right_inverse,
     rtt_residual,
@@ -690,3 +693,15 @@ def test_constructed_matrices_are_parity_homogeneous(gr2, gr11, loc):
     for kind, pres in (("all_odd", gr2), ("diag_odd", gr11), ("diag_odd", loc)):
         layout = [par for _, par in ENTRY_LAYOUTS[kind]]
         assert [pres.poly_parity(e) for e in generic_matrix(kind, pres).entries] == layout
+
+
+def test_quadratic_pairing_signs_by_the_first_letter():
+    # <x y, X Y> = (-1)^|x|: with x even and y odd, x*y + y*x pairs to zero
+    # with X*Y + Y*X, and with X*Y - Y*X to 2
+    letters, parities = {"x": "X", "y": "Y"}, {"x": EVEN, "y": ODD}
+    rel = w("x", "y") + w("y", "x")
+    assert quadratic_pairing([rel], [w("X", "Y") + w("Y", "X")], letters, parities) == (0, 1, 1)
+    assert quadratic_pairing([rel], [w("X", "Y") - w("Y", "X")], letters, parities) == (1, 1, 1)
+    # a word off the letter map pairs to zero, and the ranks are exact
+    assert quadratic_pairing([rel, rel.scale(P)], [w("Y", "Y"), w("X", "X")],
+                             letters, parities) == (0, 1, 2)

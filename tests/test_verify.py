@@ -2,25 +2,34 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import grasspq
 from grasspq import cli, freealg, matops, verify
 from grasspq.coeff import ONE, P, Q, RatFunc
-from grasspq.freealg import PRESET_NAMES, format_poly, normal_form, preset
-from grasspq.matops import closed_power, generic_matrix, rtt_residual
+from grasspq.freealg import EVEN, PRESET_NAMES, Presentation, format_poly, normal_form, preset
+from grasspq.matops import closed_power, generic_matrix, mat_mul, rtt_residual
 from grasspq.reporting import Check, Report, truncate_poly_text
 from grasspq.verify import (
     DEFAULT_SEED,
     MUTATIONS,
+    SUITES,
     Mutation,
     fault_injection_report,
     mutate_preset,
     mutation_witness,
+    pairing_witness,
     suite_all,
+    suite_duality,
     suite_gr2,
+    suite_gr2_powers,
     suite_gr11,
     suite_powers,
+    superdual,
 )
 
 
@@ -98,9 +107,13 @@ def test_each_family_reference_is_built_once_per_process(monkeypatch):
     spans.append([])
     assert fault_injection_report().passed
     assert builds == derivations == spans[0] == []
+    passes = []
     for _ in range(2):
         spans.append([])
-        assert suite_gr2().passed and suite_gr11().passed
+        reports = [f() for f in (suite_gr2, suite_gr11, fault_injection_report)]
+        assert all(r.passed for r in reports)
+        passes.append([r.signature() for r in reports])
+    assert passes[1] == passes[0]
     assert builds == ["gr2", "gr11"]
     assert derivations == ["all_odd"] * 2 + ["diag_odd"] * 2
     # the first pass spans the four references and each preset's relations
@@ -170,9 +183,11 @@ def test_the_cached_residual_reduces_to_the_direct_one(name, mutation):
 def test_suite_all_is_the_conjunction(gr2_report, gr11_report, powers_report):
     combined = suite_all(3)
     assert combined.passed
-    expected = (len(gr2_report.checks) + len(gr11_report.checks)
-                + len(powers_report.checks))
-    assert len(combined.checks) == expected
+    # every entry of SUITES but "all" and "faults", each check named suite:check
+    subs = (gr2_report, gr11_report, powers_report, suite_gr2_powers(), suite_duality())
+    assert {sub.suite for sub in subs} == set(SUITES) - {"all", "faults"}
+    assert [c.name for c in combined.checks] == sorted(
+        f"{sub.suite}:{c.name}" for sub in subs for c in sub.checks)
 
 
 def test_suite_all_nonempty_at_minimal_configuration():
@@ -199,13 +214,36 @@ def test_reports_deterministic():
 def test_signatures_are_pinned():
     # sha256 of repr(signature()) at DEFAULT_SEED; a change that moves a
     # signature on purpose updates these and says why
-    def digest(report):
-        return hashlib.sha256(repr(report.signature()).encode()).hexdigest()
+    def digest(signature):
+        return hashlib.sha256(repr(signature).encode()).hexdigest()
 
-    assert digest(suite_all(3, DEFAULT_SEED)) == (
+    combined = suite_all(3, DEFAULT_SEED)
+    assert digest(combined.signature()) == (
+        "7c08d2834ff6d3b3c75dc88b53b880f9d98bddc614206f60bc6fde90e573f337")
+    # without the gr2_powers and duality checks, the hash before they came
+    older = tuple(tuple(c) for c in combined.checks
+                  if not c.name.startswith(("gr2_powers:", "duality:")))
+    assert digest(("all", DEFAULT_SEED, older)) == (
         "e8feefd6f5cd3b718e8458807862f210e6e539bc57ce86b0cc54df0ac990af52")
-    assert digest(fault_injection_report(DEFAULT_SEED)) == (
+    assert digest(fault_injection_report(DEFAULT_SEED).signature()) == (
         "339970dd30b2ceab0c6e5630879b57655ebd84cd9974b8495c9f7c5fd7056a88")
+
+
+def test_interleaved_seeds_report_as_in_a_fresh_interpreter():
+    # the family references fill their integer echelons once per sample
+    # point, so what one seed left behind must not change another's report
+    seeds = (DEFAULT_SEED, 27, DEFAULT_SEED)
+    here = [repr([suite(seed).signature() for suite in (suite_gr2, suite_gr11)])
+            for seed in seeds]
+    assert here[2] == here[0]
+    src = os.path.dirname(os.path.dirname(grasspq.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for seed, sigs in zip(seeds[:2], here):
+        code = ("from grasspq.verify import suite_gr2, suite_gr11; "
+                f"print(repr([f({seed}).signature() for f in (suite_gr2, suite_gr11)]))")
+        fresh = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, check=True, timeout=60).stdout.strip()
+        assert fresh == sigs, seed
 
 
 def test_report_records_seed(gr2_report):
@@ -312,3 +350,65 @@ def test_mutated_presets_fail_a_suite_with_witness(mutation):
     report = SUITE_OF[mutation.preset_name](presentation=mutate_preset(mutation))
     assert not report.passed
     assert any(c.residual for c in report.failures())
+
+
+# -- gr2 powers and the superdual ----------------------------------------------------
+
+
+def test_gr2_powers_pass_and_the_cube_is_pinned():
+    report = suite_gr2_powers()
+    assert report.passed, report.to_text()
+    assert [c.name for c in report.checks] == ["cube_nonzero", "fourth_power_vanishes"]
+    gr2 = preset("gr2")
+    m = generic_matrix("all_odd", gr2)
+    cube = mat_mul(mat_mul(m, m), m)
+    assert format_poly(cube[0, 1], gr2) == "-p*alpha*delta*beta"
+
+
+@pytest.mark.parametrize("mutation", [m for m in MUTATIONS if m.preset_name == "gr2"],
+                         ids=lambda m: m.name)
+def test_each_gr2_mutation_fails_the_fourth_power(mutation):
+    report = suite_gr2_powers(presentation=mutate_preset(mutation))
+    assert [c.name for c in report.failures()] == ["fourth_power_vanishes"]
+
+
+def test_duality_passes():
+    report = suite_duality()
+    assert report.passed, report.to_text()
+    assert [c.name for c in report.checks] == ["planes_dual", "superdual_gr11", "superdual_gr2"]
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.name)
+def test_each_mutation_fails_the_superdual(mutation):
+    witness = pairing_witness(mutate_preset(mutation), *superdual(mutation.preset_name))
+    assert witness is not None and not witness.startswith("0 nonzero")
+
+
+@pytest.mark.parametrize("name, ranks", [("gr2", "10 + 6"), ("gr11", "8 + 8")])
+def test_the_superdual_needs_q_and_p_swapped(name, ranks):
+    assert pairing_witness(preset(name), *superdual(name)) is None
+    assert pairing_witness(preset(name), *superdual(name, P, Q)) == (
+        f"6 nonzero pairings, ranks {ranks}")
+
+
+def even_copy(pres):
+    # the same rules over all-even letters: the pairing loses its sign
+    return Presentation(f"{pres.label}_even", [(g.name, EVEN) for g in pres.generators], pres.rules)
+
+
+def test_the_superdual_needs_the_parity_sign():
+    assert pairing_witness(even_copy(preset("gr11")), *superdual("gr11")) == (
+        "5 nonzero pairings, ranks 8 + 8")
+    # gr2's letters are all odd, so the sign is -1 on every word and the
+    # plain pairing agrees
+    assert pairing_witness(even_copy(preset("gr2")), *superdual("gr2")) is None
+
+
+def test_the_planes_are_dual_only_with_the_sign_and_q_equal_to_p():
+    source, target = preset("plane_p11"), preset("plane_q11_dual")
+    letters = {"x": "eta", "xi": "y"}
+    at_p = [freealg.specialize(rel, {"q": P}) for rel in target.relation_polys()]
+    assert pairing_witness(source, at_p, letters) is None
+    assert pairing_witness(even_copy(source), at_p, letters) == "1 nonzero pairings, ranks 2 + 2"
+    assert pairing_witness(source, target.relation_polys(), letters) == (
+        "1 nonzero pairings, ranks 2 + 2")
