@@ -402,14 +402,14 @@ def span_equal(s1: Span | Sequence[Poly], s2: Span | Sequence[Poly], *,
 
 
 def quadratic_pairing(rels: Sequence[Poly], dual: Sequence[Poly], letters: Mapping[str, str],
-                      parities: Mapping[str, int]) -> tuple[int, int, int]:
+                      parities: Mapping[str, int]) -> str | None:
     """Pair two sets of degree-2 polynomials by <x y, X Y> = (-1)^|x| when
     X = letters[x] and Y = letters[y], and 0 otherwise, with |x| from
-    `parities`.  Returns the number of pairs (relation, dual relation)
-    that pair to nonzero, and the exact ranks of the two sets.  The
-    quadratic dual's relations span the annihilator of the relations
-    (Manin 1988), which holds iff no pair is nonzero and the ranks add to
-    the number of words, len(letters)^2."""
+    `parities`.  `dual` spans the quadratic dual of `rels`, the
+    annihilator of their span (Manin 1988), iff no pair (relation, dual
+    relation) pairs to nonzero and the exact ranks of the two sets add to
+    the number of words, len(letters)^2.  Returns None then, and
+    otherwise the count of nonzero pairs and the two ranks."""
     one, two = Span(rels), Span(dual)
     nonzero = 0
     for row in one.rows:
@@ -417,7 +417,10 @@ def quadratic_pairing(rels: Sequence[Poly], dual: Sequence[Poly], letters: Mappi
         for other in two.rows:
             nonzero += bool(sum((c * other[w] for w, c in signed.items() if w in other),
                                 RatFunc.zero()))
-    return nonzero, len(one.echelon), len(two.echelon)
+    rank, dual_rank = len(one.echelon), len(two.echelon)
+    if nonzero or rank + dual_rank != len(letters) ** 2:
+        return f"{nonzero} nonzero pairings, ranks {rank} + {dual_rank}"
+    return None
 
 
 # ---------------------------------------------------------------------------

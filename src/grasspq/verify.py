@@ -4,7 +4,7 @@ faults that the suites must catch."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -280,11 +280,10 @@ def _literal_first_power_collapses() -> bool:
     return (b_literal - Poly.gen("b")).is_zero and (c_literal - Poly.gen("c")).is_zero
 
 
-def suite_gr2_powers(seed: int = DEFAULT_SEED, *,
-                     presentation: Presentation | None = None) -> Report:
+def suite_gr2_powers(seed: int = DEFAULT_SEED) -> Report:
     """The Appendix's powers for the Grassmann matrix M: M^3 is nonzero
     and M^4 vanishes."""
-    m = generic_matrix("all_odd", presentation or preset("gr2"))
+    m = generic_matrix("all_odd", preset("gr2"))
     report = Report(suite="gr2_powers", seed=seed)
     cube = mat_mul(mat_mul(m, m), m)
     report.expect("cube_nonzero", not cube.is_zero, "M^3 != 0: (M^3)_12 = -p alpha delta beta")
@@ -292,23 +291,12 @@ def suite_gr2_powers(seed: int = DEFAULT_SEED, *,
     return report.finish()
 
 
-def pairing_witness(source: Presentation, dual: Sequence[Poly],
-                    letters: Mapping[str, str]) -> str | None:
-    """None if `dual` spans the quadratic dual of source's relations under
-    `quadratic_pairing`, else the count of nonzero pairings and the ranks."""
-    nonzero, rank, dual_rank = quadratic_pairing(source.relation_polys(), dual, letters,
-                                                 source.parities)
-    if nonzero or rank + dual_rank != len(letters) ** 2:
-        return f"{nonzero} nonzero pairings, ranks {rank} + {dual_rank}"
-    return None
-
-
-def superdual(name: str, pp: RatFunc = Q, qq: RatFunc = P) -> tuple[list[Poly], dict[str, str]]:
-    """The relations of FAMILIES[name]'s even partner at (pp, qq), and the
+def superdual(name: str) -> tuple[list[Poly], dict[str, str]]:
+    """The relations of FAMILIES[name]'s even partner at (q, p), and the
     map of the family's entries onto the partner's."""
     fam = FAMILIES[name]
     odd, even = ([n for n, _ in ENTRY_LAYOUTS[kind]] for kind in (fam.kind, fam.dual))
-    return generic_family(fam.dual, pp, qq), dict(zip(odd, even))
+    return generic_family(fam.dual, Q, P), dict(zip(odd, even))
 
 
 def suite_duality(seed: int = DEFAULT_SEED) -> Report:
@@ -319,13 +307,15 @@ def suite_duality(seed: int = DEFAULT_SEED) -> Report:
     report = Report(suite="duality", seed=seed)
     found = []
     for name, fam in FAMILIES.items():
-        witness = pairing_witness(preset(name), *superdual(name))
+        pres = preset(name)
+        witness = quadratic_pairing(pres.relation_polys(), *superdual(name), pres.parities)
         report.expect(f"superdual_{name}", witness is None,
                       f"{name} is the quadratic dual of its even partner at (q, p)", witness)
         source, target = (preset(plane) for plane in fam.planes)
         letters = {x.name: y.name for x, y in zip(source.generators, target.generators)}
         dual = [specialize(rel, {"q": P}) for rel in target.relation_polys()]
-        found += filter(None, [pairing_witness(source, dual, letters)])
+        found += filter(None, [quadratic_pairing(source.relation_polys(), dual, letters,
+                                                 source.parities)])
     report.expect("planes_dual", not found, "each p-plane is dual to its q-plane at q := p",
                   "; ".join(found) or None)
     return report.finish()

@@ -580,8 +580,10 @@ def test_sums_are_held_to_the_coefficient_bounds(tmp_path):
 
 
 def test_a_printed_coefficient_reads_back_only_within_the_input_bounds():
-    # format_poly's rule: a coefficient of several terms reads back as a
-    # sum, which is held to the span bound; a reduction can print one past it
+    # pins a known limitation, not a fix: a coefficient of several terms
+    # reads back as a sum, which is held to the span bound, and a reduction
+    # can print one past it (format_poly's docstring states the rule).  A
+    # change that makes printed output read back changes this test on purpose
     printed = "(p^40 - p^-39)*alpha*beta"
     assert run_cli("reduce", "--preset", "gr2", "p^40*alpha*beta + p^-40*beta*alpha") == (
         0, printed + "\n", "")

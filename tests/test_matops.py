@@ -700,8 +700,14 @@ def test_quadratic_pairing_signs_by_the_first_letter():
     # with X*Y + Y*X, and with X*Y - Y*X to 2
     letters, parities = {"x": "X", "y": "Y"}, {"x": EVEN, "y": ODD}
     rel = w("x", "y") + w("y", "x")
-    assert quadratic_pairing([rel], [w("X", "Y") + w("Y", "X")], letters, parities) == (0, 1, 1)
-    assert quadratic_pairing([rel], [w("X", "Y") - w("Y", "X")], letters, parities) == (1, 1, 1)
+    assert quadratic_pairing([rel], [w("X", "Y") + w("Y", "X")], letters, parities) == (
+        "0 nonzero pairings, ranks 1 + 1")
+    assert quadratic_pairing([rel], [w("X", "Y") - w("Y", "X")], letters, parities) == (
+        "1 nonzero pairings, ranks 1 + 1")
     # a word off the letter map pairs to zero, and the ranks are exact
     assert quadratic_pairing([rel, rel.scale(P)], [w("Y", "Y"), w("X", "X")],
-                             letters, parities) == (0, 1, 2)
+                             letters, parities) == "0 nonzero pairings, ranks 1 + 2"
+    # the annihilator of x*y + y*x is spanned by the other three words,
+    # so the ranks fill the four words
+    dual = [w("X", "X"), w("Y", "Y"), w("X", "Y") + w("Y", "X")]
+    assert quadratic_pairing([rel], dual, letters, parities) is None
