@@ -409,7 +409,7 @@ def _require_declared(names: list[str], gens: list[tuple[str, int]], lineno: int
     unknown = [n for n in names if n not in declared]
     if unknown:
         raise ExprSyntaxError(
-            f"{unknown[0]!r} on line {lineno} is not a generator declared above it", 0)
+            f"{unknown[0]!r} on line {lineno} is not a generator declared above it")
 
 
 def load_presentation(text: str, label: str = "loaded") -> Presentation:
@@ -420,7 +420,7 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
     order = "deglex"
     negweight: list[str] = []
     max_word_length = MAX_WORD_LENGTH
-    relation_texts: list[str] = []
+    relation_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -430,50 +430,56 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
         if head in ("order", "negweight", "maxword"):
             if head in setting_lines:
                 raise ExprSyntaxError(f"repeated {head} on line {lineno} "
-                                      f"(first on line {setting_lines[head]})", 0)
+                                      f"(first on line {setting_lines[head]})")
             setting_lines[head] = lineno
         if head == "generator":
             name, _, parity = rest.partition(" ")
             parity = parity.strip()
             if parity not in ("even", "odd") or not _is_name(name):
-                raise ExprSyntaxError(f"bad generator line {lineno}", 0)
+                raise ExprSyntaxError(f"bad generator line {lineno}")
             if name in ("p", "q"):
                 raise ExprSyntaxError(
-                    f"generator may not shadow a parameter (line {lineno})", 0)
+                    f"generator may not shadow a parameter (line {lineno})")
             if any(name == n for n, _ in gens):
-                raise ExprSyntaxError(f"duplicate generator {name!r} on line {lineno}", 0)
+                raise ExprSyntaxError(f"duplicate generator {name!r} on line {lineno}")
             gens.append((name, ODD if parity == "odd" else EVEN))
         elif head == "inverse":
             names = rest.split()
             if len(names) != 2:
-                raise ExprSyntaxError(f"bad inverse line {lineno}", 0)
+                raise ExprSyntaxError(f"bad inverse line {lineno}")
             _require_declared(names, gens, lineno)
             if names[0] in inverses:
                 raise ExprSyntaxError(
-                    f"repeated inverse for {names[0]!r} on line {lineno}", 0)
+                    f"repeated inverse for {names[0]!r} on line {lineno}")
             inverses[names[0]] = names[1]
             inverse_lines[names[0]] = lineno
         elif head == "order":
             if rest not in ("deglex", "invweight"):
-                raise ExprSyntaxError(f"unknown order {rest!r} on line {lineno}", 0)
+                raise ExprSyntaxError(f"unknown order {rest!r} on line {lineno}")
             order = rest
         elif head == "negweight":
             negweight = rest.split()
             _require_declared(negweight, gens, lineno)
         elif head == "maxword":
             if not (rest.isascii() and rest.isdecimal()) or int(rest) < 1:
-                raise ExprSyntaxError(f"bad maxword line {lineno}: need a positive integer", 0)
+                raise ExprSyntaxError(f"bad maxword line {lineno}: need a positive integer")
             max_word_length = int(rest)
         elif head == "relation":
-            relation_texts.append(rest)
+            relation_lines.append((lineno, rest))
         else:
-            raise ExprSyntaxError(f"unknown directive {head!r} on line {lineno}", 0)
+            raise ExprSyntaxError(f"unknown directive {head!r} on line {lineno}")
     if "negweight" in setting_lines and order != "invweight":
         raise ExprSyntaxError(f"negweight on line {setting_lines['negweight']} "
-                              f"needs order invweight", 0)
+                              f"needs order invweight")
     skeleton = Presentation(label, gens, (), inverses=inverses,
                             max_word_length=max_word_length)
-    relations = [Poly(parse(t, skeleton)) for t in relation_texts]
+    relations = []
+    for lineno, rest in relation_lines:
+        try:
+            relations.append(Poly(parse(rest, skeleton)))
+        except AlgebraError as exc:  # the same error, naming its line
+            exc.args = (f"relation on line {lineno}: {exc}",)
+            raise
     pres = build_presentation(label, gens, relations, order=order,
                               negative_weight=negweight, inverses=inverses,
                               max_word_length=max_word_length)
@@ -482,7 +488,7 @@ def load_presentation(text: str, label: str = "loaded") -> Presentation:
             if not normal_form(Poly.word(*word) - Poly.unit(), pres).is_zero:
                 raise ExprSyntaxError(
                     f"inverse {name} {inv} on line {inverse_lines[name]}: "
-                    f"{'*'.join(word)} does not reduce to 1", 0)
+                    f"{'*'.join(word)} does not reduce to 1")
     return pres
 
 
@@ -505,10 +511,8 @@ def builtin_preset_text(name: str) -> str:
 
 
 def _select_preset(args) -> Presentation:
-    if getattr(args, "preset_file", None):
+    if args.preset_file is not None:
         return load_presentation_file(args.preset_file)
-    if getattr(args, "preset", None) is None:
-        raise ExprSyntaxError("one of --preset or --preset-file is required", 0)
     return preset(args.preset)
 
 
@@ -585,9 +589,9 @@ def build_arg_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_preset_opts(sp):
-        sp.add_argument("--preset", choices=PRESET_NAMES, default=None)
-        sp.add_argument("--preset-file", default=None,
-                        help="load a presentation from a file instead of --preset")
+        group = sp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--preset", choices=PRESET_NAMES)
+        group.add_argument("--preset-file", help="load a presentation from a file")
 
     sp = sub.add_parser("reduce", help="normal form of an expression")
     add_preset_opts(sp)

@@ -158,22 +158,6 @@ class LaurentPoly:
         res.terms = {(ea + a, eb + b): c for (ea, eb), c in self.terms.items()}
         return res
 
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            if self.is_monomial():
-                (a, b), c = next(iter(self.terms.items()))
-                return LaurentPoly.monomial(_quotient(1, c), -a, -b) ** (-n)
-            raise ZeroInverse("negative power of a non-monomial Laurent polynomial")
-        out = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     # -- structure ---------------------------------------------------------
 
     def leading(self) -> tuple[ExpPair, int | Fraction]:
@@ -449,7 +433,10 @@ class RatFunc:
         qv = q_val if q_val is not None else Q
         monomial = all(v.den is _UNIT and len(v.num.terms) == 1 for v in (pv, qv))
         subst = _subst_monomials if monomial else _subst_laurent
-        num, den = subst(self.num, pv, qv), subst(self.den, pv, qv)
+        try:
+            num, den = subst(self.num, pv, qv), subst(self.den, pv, qv)
+        except ZeroInverse as exc:  # a negative power of a parameter sent to zero
+            raise SingularSpecialization("substitution kills a denominator") from exc
         if den.is_zero:
             raise SingularSpecialization("substitution kills a denominator")
         return RatFunc(num, den) if monomial else num / den

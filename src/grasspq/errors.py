@@ -57,10 +57,10 @@ class NotHomogeneous(AlgebraError):
 
 
 class ExprSyntaxError(AlgebraError):
-    """Malformed input text; carries the character position of the fault."""
+    """Malformed input text; carries the character position of the fault, if any."""
 
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message, position=None):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 

@@ -774,7 +774,7 @@ def irreducible_words(pres: Presentation, max_length: int) -> list[Word]:
 # ---------------------------------------------------------------------------
 
 def derive_relations(source_plane: Presentation, target_plane: Presentation,
-                     entry_parity: str = "all_odd") -> list[Poly]:
+                     entry_parity: str) -> list[Poly]:
     """Quadratic relations a 2x2 matrix of fresh entries t_ij must satisfy
     for the transformed source coordinates x_i -> t_i1 x_1 + t_i2 x_2 to
     obey the target plane's relations.

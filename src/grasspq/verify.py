@@ -92,11 +92,9 @@ def rtt_entries(name: str) -> tuple[Poly, ...]:
 
 
 class References(NamedTuple):
-    """What the family checks of preset `name` compare against: the
-    relations derived from its planes both ways, the spans of the RTT
-    entries, of those relations and of the preset's own relations, and
-    the one-parameter presentation at (p, p)."""
-    derived: tuple[Poly, ...]
+    """What the family checks of preset `name` compare against: the spans of
+    the RTT entries, of the relations derived from its planes both ways and
+    of its own relations, and the one-parameter presentation at (p, p)."""
     rtt_span: Span
     derived_span: Span
     relations: Span
@@ -109,28 +107,25 @@ def references(name: str) -> References:
     fills its integer echelons once per sample point."""
     fam = FAMILIES[name]
     one, other = (preset(plane) for plane in fam.planes)
-    derived = tuple(derive_relations(one, other, fam.kind) + derive_relations(other, one, fam.kind))
-    return References(derived, Span(rtt_entries(name)), Span(derived),
+    derived = derive_relations(one, other, fam.kind) + derive_relations(other, one, fam.kind)
+    return References(Span(rtt_entries(name)), Span(derived),
                       Span(preset(name).relation_polys()), build_family(fam.kind, P, P, name))
 
 
-def _family_checks(report: Report, pres: Presentation, name: str) -> None:
-    """The checks both matrix families share, against the references of
-    preset `name`.  RTT soundness reduces the free-algebra residual
-    entries in pres, which is `rtt_residual` over pres because the normal
-    form is linear; the entries span the relations, so do the relations
-    derived from the plane maps both ways, and q := p in pres gives the
-    rules of the family at (p, p).  The preset reads its cached relation
-    span, so a warm pass row-reduces only the unions with the references;
-    any other presentation spans its relations afresh."""
+def _family_checks(report: Report, name: str) -> None:
+    """The checks both matrix families share, on preset `name` against its
+    cached references.  RTT soundness reduces the free-algebra residual
+    entries in the preset (`rtt_residual` there, as the normal form is
+    linear); the entries span the relations, so do the relations derived
+    from the plane maps both ways, and q := p gives the family at (p, p)."""
     fam = FAMILIES[name]
     refs = references(name)
+    pres = preset(name)
     report.add(_matrix_residual_check(
         fam.soundness, AlgMatrix(4, 4, rtt_entries(name), pres), fam.soundness_ref))
-    relations = refs.relations if pres is preset(name) else Span(pres.relation_polys())
-    report.absorb("rtt_completeness", span_equal(refs.rtt_span, relations, seed=report.seed,
-                                                 label=f"{report.suite}-rtt"))
-    report.absorb("derivation_equivalence", span_equal(refs.derived_span, relations,
+    report.absorb("rtt_completeness", span_equal(refs.rtt_span, refs.relations,
+                                                 seed=report.seed, label=f"{report.suite}-rtt"))
+    report.absorb("derivation_equivalence", span_equal(refs.derived_span, refs.relations,
                                                        seed=report.seed,
                                                        label=f"{report.suite}-derive"))
     spec = specialize_presentation(pres, {"q": P})
@@ -139,10 +134,10 @@ def _family_checks(report: Report, pres: Presentation, name: str) -> None:
                   "q := p collapses to the one-parameter deformation")
 
 
-def suite_gr2(seed: int = DEFAULT_SEED, *, presentation: Presentation | None = None) -> Report:
+def suite_gr2(seed: int = DEFAULT_SEED) -> Report:
     """Confluence, dimension count, inverse identities, RTT soundness and
     completeness, endomorphism derivation, parameter degeneration."""
-    pres = presentation or preset("gr2")
+    pres = preset("gr2")
     report = Report(suite="gr2", seed=seed)
 
     report.absorb("confluence", overlap_check(pres))
@@ -169,15 +164,14 @@ def suite_gr2(seed: int = DEFAULT_SEED, *, presentation: Presentation | None = N
         "inverse_compatibility", compat_l - compat_r,
         "Delta_L * A_R^-1 = A_L^-1 * Delta_R"))
 
-    _family_checks(report, pres, "gr2")
+    _family_checks(report, "gr2")
     return report.finish()
 
 
-def suite_gr11(seed: int = DEFAULT_SEED, *,
-               presentation: Presentation | None = None) -> Report:
+def suite_gr11(seed: int = DEFAULT_SEED) -> Report:
     """Confluence of the supergroup presentations, graded tensor ground
     truth, graded RTT, supermatrix inverse, superdeterminant."""
-    pres = presentation or preset("gr11")
+    pres = preset("gr11")
     loc = preset("gr11_localized")
     report = Report(suite="gr11", seed=seed)
 
@@ -205,7 +199,7 @@ def suite_gr11(seed: int = DEFAULT_SEED, *,
         "graded_tensor_slot2", tensor_graded(m, 2) - slot2_expected,
         "second graded embedding matches the explicit signed layout"))
 
-    _family_checks(report, pres, "gr11")
+    _family_checks(report, "gr11")
 
     ml = generic_gr11_localized(loc)
     minv = inverse11(ml)

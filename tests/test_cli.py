@@ -303,6 +303,7 @@ EXIT_MATRIX = [
     (("reduce", "--preset", "gr2", "nosuch"), 2),
     (("reduce", "--preset", "nosuch", "alpha"), 2),
     (("reduce", "alpha"), 2),  # missing preset selection
+    (("reduce", "--preset", "gr2", "--preset-file", "gr2.preset", "alpha"), 2),  # both
     (("rmatrix", "--x", "p*q"), 0),
     (("rmatrix", "--x", "p*("), 2),
     (("power", "--n", "3"), 0),
@@ -525,7 +526,8 @@ def test_preset_file_relations_are_held_to_the_term_bound(tmp_path):
     path.write_text(text)
     code, out, err = run_cli("reduce", "--preset-file", str(path), "x")
     assert code == 1 and not out
-    assert err == "error: input product of 65536 by 2 terms exceeds the bound 65536\n"
+    assert err == ("error: relation on line 3: input product of 65536 by 2 terms exceeds "
+                   "the bound 65536\n")
 
 
 def test_coefficient_products_and_quotients_add_their_spans():
@@ -571,7 +573,7 @@ def test_sums_are_held_to_the_coefficient_bounds(tmp_path):
         path.write_text(f"generator alpha odd\nrelation {text}\n")
         code, out, err = run_cli("reduce", "--preset-file", str(path), "alpha")
         assert code == 1 and not out
-        assert err.startswith("error: input coefficient") and bound in err
+        assert err.startswith("error: relation on line 2: input coefficient") and bound in err
     # terms on distinct words pay nothing, and sums within the bounds print
     assert run_cli("reduce", "--preset", "gr2", "(p+q)^40*alpha + (p+q)^40*beta")[0] == 0
     code, out, _ = run_cli("reduce", "--preset", "gr2",
@@ -637,7 +639,7 @@ def test_a_missing_operand_at_the_end_is_reported_as_end_of_input(tmp_path):
     path = tmp_path / "bad.preset"
     path.write_text("generator alpha odd\nrelation alpha +\n")
     assert run_cli("reduce", "--preset-file", str(path), "alpha") == (
-        2, "", "error: unexpected end of input (at position 7)\n")
+        2, "", "error: relation on line 2: unexpected end of input (at position 7)\n")
 
 
 def test_parentheses_nest_at_most_max_nesting_deep(tmp_path):
@@ -733,6 +735,43 @@ def test_preset_file_flag(tmp_path):
     code, out, _ = run_cli("reduce", "--preset-file", str(path), "delta*alpha")
     assert code == 0
     assert out.strip() == "-alpha*delta"
+
+
+def test_the_preset_choice_is_one_required_group(tmp_path):
+    # argparse refuses a missing or double choice before any file is read
+    code, out, err = run_cli("reduce", "alpha")
+    assert (code, out) == (2, "")
+    assert "one of the arguments --preset --preset-file is required" in err
+    assert "position" not in err
+    path = tmp_path / "gr2.preset"
+    path.write_text(cli.builtin_preset_text("gr2"))
+    code, out, err = run_cli("reduce", "--preset", "gr11", "--preset-file", str(path), "alpha")
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+    # an empty path is a file choice, and reading it fails
+    with pytest.raises(OSError) as exc:
+        cli.load_presentation_file("")
+    assert run_cli("reduce", "--preset-file", "", "alpha") == (2, "", f"error: {exc.value}\n")
+
+
+def test_loader_errors_name_their_line(tmp_path):
+    head = "generator x even\ngenerator y even\n# a comment\n"
+    path = tmp_path / "bad.preset"
+    for relation, error, code, message in (
+            ("x*y - )", ExprSyntaxError, 2, "unexpected token ')' (at position 6)"),
+            (f"{'7' * 5000}*x*y", DegreeCapExceeded, 1,
+             "integer literal of 5000 digits at position 0 exceeds the bound 4000")):
+        text = head + f"relation {relation}\n"
+        with pytest.raises(error):
+            load_presentation(text)
+        path.write_text(text)
+        assert run_cli("reduce", "--preset-file", str(path), "x") == (
+            code, "", f"error: relation on line 4: {message}\n")
+    # a directive error is about its whole line: it names no position
+    with pytest.raises(ExprSyntaxError) as exc:
+        load_presentation("generator x even\ngenerator x odd\n")
+    assert str(exc.value) == "duplicate generator 'x' on line 2"
+    assert exc.value.position is None
 
 
 def test_preset_file_missing(tmp_path):

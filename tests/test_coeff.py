@@ -216,13 +216,14 @@ def test_exact_division_returns_long_quotients(rng):
     # 2*len(r) terms while a has n*len(r), above a cap of the old
     # 8*(terms)+32 kind
     for _ in range(10):
-        m = LaurentPoly.monomial(Fraction(rng.randint(1, 3), rng.randint(1, 3)),
-                                 rng.randint(-3, 3) or 1, rng.randint(-3, 3))
+        c, i, j = (Fraction(rng.randint(1, 3), rng.randint(1, 3)),
+                   rng.randint(-3, 3) or 1, rng.randint(-3, 3))
         r = LaurentPoly({(rng.randint(-2, 2), rng.randint(-2, 2)): rng.randint(1, 5)
                          for _ in range(2)})
         n = rng.randint(70, 110)
-        a = r * sum((m**k for k in range(n)), LaurentPoly.zero())
-        b = LaurentPoly.const(1) - m
+        a = r * sum((LaurentPoly.monomial(c**k, k * i, k * j) for k in range(n)),
+                    LaurentPoly.zero())
+        b = LaurentPoly.const(1) - LaurentPoly.monomial(c, i, j)
         assert len(a.terms) > 8 * (len((a * b).terms) + len(b.terms)) + 32
         quot = RatFunc(a * b, b)
         assert quot.den == LaurentPoly.const(1) and quot == RatFunc(a)

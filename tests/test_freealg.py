@@ -1030,6 +1030,18 @@ def test_specialize_singular_substitution_raises():
         specialize(lethal, {"q": P**-1})
 
 
+def test_a_parameter_sent_to_zero_under_a_negative_power_is_a_singular_specialization():
+    from grasspq.errors import SingularSpecialization
+
+    zero = RatFunc.zero()
+    for coeff, assignment in ((P**-1, {"p": zero}), (Q**-2 + P, {"q": zero}),
+                              (P**-1 * Q, {"p": zero, "q": P})):
+        with pytest.raises(SingularSpecialization, match="kills a denominator"):
+            specialize(Poly.gen("alpha", coeff), assignment)
+    # with no negative power, zero is an ordinary value
+    assert specialize(Poly.gen("alpha", P * Q + Q), {"p": zero}) == Poly.gen("alpha", Q)
+
+
 def test_supermatrix_square_word_against_hand_oracle():
     # (bc)^2 reduces to qp^-1 b^2 c^2 + p^2 (q - p^-1) alpha delta b c;
     # frozen from the hand expansion b(cb)c, cross-checked by evaluating
