@@ -319,14 +319,21 @@ def test_rule_comparison_sees_a_mutation_that_changes_nothing():
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.name)
-def test_mutated_presets_fail_a_suite_with_witness(mutation):
+def test_a_mutated_presentation_gets_its_own_relation_span(mutation):
     # the suites run over the shipped presets only, and a changed preset
-    # is checked by the fault catalogue; its relations would fail both of
-    # the suite's span checks too
+    # is checked by the fault catalogue; its relations span another space,
+    # so they would fail both of the suite's span checks, while the
+    # preset's own relations pass them
     refs = verify.references(mutation.preset_name)
     relations = mutate_preset(mutation).relation_polys()
+    original = preset(mutation.preset_name).relation_polys()
     for reference in (refs.rtt_span, refs.derived_span):
+        assert span_equal(reference, original, seed=DEFAULT_SEED).passed
         assert not span_equal(reference, relations, seed=DEFAULT_SEED).passed
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS, ids=lambda m: m.name)
+def test_mutated_presets_fail_a_suite_with_witness(mutation):
     assert mutation_witness(mutation)
 
 
