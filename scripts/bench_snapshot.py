@@ -5,8 +5,9 @@
 
 Uses only the standard library, git and the checkout's own benchmark:
 
-- end to end: `perfbench/run.py --trace 0` runs of SECONDS each, REPEATS
-  times per workload, the workloads alternating and the first of each repeat
+- end to end: `perfbench/run.py --trace 0` runs, each as long as the
+  benchmark's own runs (`run_seconds` in BENCHMARK.json), REPEATS times per
+  workload, the workloads alternating and the first of each repeat
   swapping, at the benchmark's default seed (so every run is also judged
   against the golden digest); each metric gets its median, quartiles and
   the value of every run;
@@ -40,9 +41,9 @@ import tempfile
 from time import perf_counter
 
 WORKLOADS = ("suites", "requests")
-# Fixed, so that every BENCH_<n>.json is measured alike and comparable.
-REPEATS = 5
-SECONDS = 20
+# Fixed, so that every BENCH_<n>.json is measured alike and comparable:
+# ten alternated pairs per workload.
+REPEATS = 10
 CLI_COMMANDS = {
     "cold_start_reduce": ["reduce", "--preset", "gr2", "alpha*beta"],
     # builds gr11_localized, so it pays that preset's completion
@@ -53,10 +54,10 @@ CLI_COMMANDS = {
 }
 
 
-def bench_run(root: str, workload: str, seed: int, trace: int) -> dict:
+def bench_run(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench/run.py run; its closing JSON line."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
@@ -96,14 +97,15 @@ def alternating(n: int, i: int) -> list[int]:
     return list(range(n)) if i % 2 == 0 else list(reversed(range(n)))
 
 
-def measure(roots: list[str], commits: list[str | None], seed: int) -> list[dict]:
+def measure(roots: list[str], commits: list[str | None], seed: int,
+            seconds: float) -> list[dict]:
     """The end-to-end, per-layer and CLI rows of each checkout, the
     checkouts alternating run by run."""
     runs = [{w: [] for w in WORKLOADS} for _ in roots]
     for i in range(REPEATS):
         for workload in (WORKLOADS if i % 2 == 0 else WORKLOADS[::-1]):
             for k in alternating(len(roots), i):
-                runs[k][workload].append(bench_run(roots[k], workload, seed, 0))
+                runs[k][workload].append(bench_run(roots[k], workload, seed, seconds, 0))
     rows = [{"commit": commit, "end_to_end": {}, "per_layer": {}, "cli_wall_s": {}}
             for commit in commits]
     for row, by_workload in zip(rows, runs):
@@ -118,7 +120,8 @@ def measure(roots: list[str], commits: list[str | None], seed: int) -> list[dict
             }
     for i, workload in enumerate(WORKLOADS):
         for k in alternating(len(roots), i):
-            rows[k]["per_layer"][workload] = bench_run(roots[k], workload, seed, 1)["metrics"]
+            traced = bench_run(roots[k], workload, seed, seconds, 1)
+            rows[k]["per_layer"][workload] = traced["metrics"]
     for name, cmd in CLI_COMMANDS.items():
         for row, wall in zip(rows, cli_wall_s(roots, cmd)):
             row["cli_wall_s"][name] = wall
@@ -135,6 +138,8 @@ def main(argv=None) -> int:
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "perfbench", "record.json")) as fh:
         seed = json.load(fh)["default_seed"]
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        seconds = json.load(fh)["run_seconds"]
 
     order = "workloads alternate, the first swapping every repeat"
     with tempfile.TemporaryDirectory() as tmp:
@@ -148,7 +153,7 @@ def main(argv=None) -> int:
             roots.append(base_root)
             commits.append(git(root, "rev-parse", args.base))
             order += "; base and head runs alternate, the first swapping every repeat"
-        rows = measure(roots, commits, seed)
+        rows = measure(roots, commits, seed, seconds)
     head = rows[0]
     snapshot = {
         "commit": head["commit"],
@@ -156,7 +161,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "machine": {"platform": platform.platform(), "machine": platform.machine(),
                     "cpu_count": os.cpu_count()},
-        "settings": {"repeats": REPEATS, "seconds": SECONDS, "seed": seed, "order": order},
+        "settings": {"repeats": REPEATS, "seconds": seconds, "seed": seed, "order": order},
         "end_to_end": head["end_to_end"],
         "per_layer": head["per_layer"],
         "cli_wall_s": head["cli_wall_s"],

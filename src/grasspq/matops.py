@@ -81,10 +81,11 @@ class AlgMatrix:
                          self.presentation)
 
     def _compatible(self, other: AlgMatrix) -> None:
-        if self.presentation.label != other.presentation.label:
-            raise GeneratorMismatch(
-                f"matrices live over {self.presentation.label!r} and "
-                f"{other.presentation.label!r}")
+        a, b = self.presentation, other.presentation
+        if a is not b:
+            where = (f"two presentations labelled {a.label!r}" if a.label == b.label
+                     else f"{a.label!r} and {b.label!r}")
+            raise GeneratorMismatch(f"matrices live over {where}")
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -136,16 +137,16 @@ def generic_matrix(kind: str, pres: Presentation) -> AlgMatrix:
     return AlgMatrix(2, 2, [Poly.gen(name) for name, _ in ENTRY_LAYOUTS[kind]], pres)
 
 
-def generic_gr2(pres: Presentation | None = None) -> AlgMatrix:
-    return generic_matrix("all_odd", pres or preset("gr2"))
+def generic_gr2(pres: Presentation) -> AlgMatrix:
+    return generic_matrix("all_odd", pres)
 
 
-def generic_gr11(pres: Presentation | None = None) -> AlgMatrix:
-    return generic_matrix("diag_odd", pres or preset("gr11"))
+def generic_gr11(pres: Presentation) -> AlgMatrix:
+    return generic_matrix("diag_odd", pres)
 
 
-def generic_gr11_localized(pres: Presentation | None = None) -> AlgMatrix:
-    return generic_matrix("diag_odd", pres or preset("gr11_localized"))
+def generic_gr11_localized(pres: Presentation) -> AlgMatrix:
+    return generic_matrix("diag_odd", pres)
 
 
 # ---------------------------------------------------------------------------
@@ -563,21 +564,20 @@ def closed_power(exponent: int) -> AlgMatrix:
         d_head * _word_power(("c", "b"), n - 1)], pres)
 
 
-def power_relations_check(exponent: int, power: AlgMatrix | None = None) -> Report:
-    """The entries of the exponent-th power satisfy the deformed relations
-    at the effective parameters (p^e, q^e): the full supermatrix family for
-    odd e, the even-diagonal family for even e.  `power` is that power, as
-    closed_power(exponent) builds it when it is not given."""
+def power_relations_check(exponent: int, power: AlgMatrix) -> Report:
+    """The entries of `power`, given as the exponent-th power of the generic
+    gr11 supermatrix, satisfy the deformed relations at the effective
+    parameters (p^e, q^e): the full supermatrix family for odd e, the
+    even-diagonal family for even e."""
     if exponent < 1:
         raise ValueError("exponent must be positive")
     pres = preset("gr11")
-    cp = closed_power(exponent) if power is None else power
     if exponent % 2:
         kind, ref = "diag_odd", "odd power lies in the deformed dual supermatrix family"
     else:
         kind, ref = ("diag_even", "even power is an even-diagonal supermatrix "
                      "at the squared parameters")
     report = Report(suite=f"power_relations:{exponent}")
-    for label, expr in family(kind, cp.entries, P**exponent, Q**exponent):
+    for label, expr in family(kind, power.entries, P**exponent, Q**exponent):
         report.add(residual_check(f"e{exponent}:{label}", normal_form(expr, pres), pres, ref))
     return report.finish()

@@ -23,7 +23,7 @@ from grasspq.errors import (
     NegativePowerOfNonInvertible,
     UnknownGenerator,
 )
-from grasspq.freealg import Poly, format_poly, normal_form, preset
+from grasspq.freealg import PRESET_NAMES, Poly, format_poly, normal_form, preset
 from grasspq.cli import (
     builtin_preset_text,
     dump_presentation,
@@ -48,14 +48,21 @@ def run_cli(*argv):
 def test_import_loads_no_module_that_start_up_does_not_use():
     # a fresh interpreter: what `python -c pass` loads is already in
     # sys.modules before the import
-    code = ("import sys; before = set(sys.modules); import grasspq, grasspq.cli; "
-            "print(sorted({'dataclasses', 'inspect', 'json', 'argparse'}"
-            " & (set(sys.modules) - before)))")
     src = os.path.dirname(os.path.dirname(grasspq.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True, timeout=60).stdout
-    assert out.strip() == "[]"
+
+    def newly_loaded(statement, names):
+        code = (f"import sys; before = set(sys.modules); {statement}; "
+                f"print(sorted({names} & (set(sys.modules) - before)))")
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True, timeout=60).stdout.strip()
+
+    assert newly_loaded("import grasspq, grasspq.cli",
+                        "{'dataclasses', 'inspect', 'json', 'argparse'}") == "[]"
+    # the package re-exports nothing, so one module loads only what it imports
+    assert newly_loaded("import grasspq.coeff",
+                        "{m for m in sys.modules if m.startswith('grasspq')}") == (
+        "['grasspq', 'grasspq.coeff', 'grasspq.errors']")
 
 
 # -- parsing ------------------------------------------------------------------
@@ -190,9 +197,7 @@ def random_nf_poly(rng, pres):
     return normal_form(out, pres)
 
 
-@pytest.mark.parametrize("name", ["gr2", "gr11", "gr11_localized", "gr11_inverse",
-                                  "plane_p20", "plane_q02", "plane_p11",
-                                  "plane_q11_dual"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_roundtrip_parse_of_printed_polys(name, rng):
     pres = preset(name)
     for _ in range(200):
@@ -279,9 +284,7 @@ def random_tree(rng, pres, depth):
     return f"{paren(a, PRODUCT)}*{paren(b, NEG)}", a[1] * b[1], PRODUCT
 
 
-@pytest.mark.parametrize("name", ["gr2", "gr11", "gr11_localized", "gr11_inverse",
-                                  "plane_p20", "plane_q02", "plane_p11",
-                                  "plane_q11_dual"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_parsed_trees_equal_their_direct_values(name, rng):
     pres = preset(name)
     for _ in range(60):
@@ -707,9 +710,7 @@ def test_closed_powers_at_the_word_cap_parse_back():
 
 # -- presentation files ---------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["gr2", "gr11", "gr11_localized", "gr11_inverse",
-                                  "plane_p20", "plane_q02", "plane_p11",
-                                  "plane_q11_dual"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_builtin_preset_files_match_builders(name):
     # the shipped files are dump_presentation output, pinned byte for byte
     pres = preset(name)

@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -392,9 +391,7 @@ def test_orient_zero_relation_raises():
 
 # -- confluence -------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", ["gr2", "gr11", "gr11_localized", "gr11_inverse",
-                                  "plane_p20", "plane_q02", "plane_p11",
-                                  "plane_q11_dual"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_locally_confluent(name):
     # the preset reports its builder's proof; its cold copy resolves anew
     assert overlap_check(preset(name)).passed
@@ -845,9 +842,7 @@ def test_path_independence_on_long_even_heavy_words(rng):
 
 # -- reduction is linear and idempotent ----------------------------------------------
 
-@pytest.mark.parametrize("name", ["gr2", "gr11", "gr11_localized", "gr11_inverse",
-                                  "plane_p20", "plane_q02", "plane_p11",
-                                  "plane_q11_dual"])
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_normal_form_idempotent(name, rng):
     pres = preset(name)
     for _ in range(500):

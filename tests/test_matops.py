@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from grasspq.coeff import ONE, P, Q, RatFunc
+from grasspq.coeff import P, Q, RatFunc
 from grasspq.errors import GeneratorMismatch, NotHomogeneous, NotLocalized, ShapeMismatch
 from grasspq.freealg import (
     ENTRY_LAYOUTS,
@@ -40,7 +40,6 @@ from grasspq.matops import (
     inverse11,
     left_inverse,
     mat_mul,
-    matrix_power,
     quadratic_pairing,
     rhat,
     right_inverse,
@@ -113,8 +112,13 @@ def test_mat_mul_shape_mismatch(gr2):
 
 
 def test_mat_mul_presentation_mismatch(gr2, gr11):
-    with pytest.raises(GeneratorMismatch):
+    with pytest.raises(GeneratorMismatch, match="over 'gr2' and 'gr11'"):
         mat_mul(generic_gr2(gr2), generic_gr11(gr11))
+    # a mutated copy keeps its preset's label but not its rules
+    mutated = mutate_preset(next(m for m in MUTATIONS if m.preset_name == "gr2"))
+    assert mutated.label == gr2.label
+    with pytest.raises(GeneratorMismatch, match="two presentations labelled 'gr2'"):
+        mat_mul(generic_gr2(mutated), generic_gr2(gr2))
 
 
 # -- tensor embeddings -----------------------------------------------------------
